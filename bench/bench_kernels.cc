@@ -98,13 +98,30 @@ void BM_GemmSeedScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmSeedScalar)->Arg(256);
 
+// The unpacked reference kernels of the dispatched family
+// (internal::GemmReference), timed directly: the oracle the packed
+// driver is pinned to bitwise, and its in-binary unpacked baseline.
+void BM_GemmReference(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  Rng rng(1);
+  std::vector<float> a(static_cast<size_t>(n) * n), b(a.size()), c(a.size());
+  for (auto& v : a) v = rng.NextGaussian();
+  for (auto& v : b) v = rng.NextGaussian();
+  for (auto _ : state) {
+    internal::GemmReference(false, false, n, n, n, 1.0f, a.data(), n,
+                            b.data(), n, 0.0f, c.data(), n);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2LL * n * n * n);
+}
+BENCHMARK(BM_GemmReference)->Arg(256);
+
 // Packed inference GEMM on one conv shape (m = filters, k = c*ks*ks,
 // n = out_h*out_w), weights pre-packed outside the timed loop exactly as
 // ConvLayer::PrepackWeights does. Registered dynamically in main() for
 // every distinct conv shape of the yolov4-thali model.
 void GemmPackedShapeBench(benchmark::State& state, int64_t m, int64_t n,
                           int64_t k) {
-  internal::SetGemmPackingForTesting(1);
   Rng rng(1);
   std::vector<float> a(static_cast<size_t>(m * k)),
       b(static_cast<size_t>(k * n)), c(static_cast<size_t>(m * n));
@@ -118,7 +135,6 @@ void GemmPackedShapeBench(benchmark::State& state, int64_t m, int64_t n,
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2LL * m * n * k);
-  internal::SetGemmPackingForTesting(-1);
 }
 
 void BM_GemmPacked(benchmark::State& state) {
@@ -258,12 +274,10 @@ void BM_ConvForward(benchmark::State& state) {
 BENCHMARK(BM_ConvForward)->Arg(16)->Arg(64);
 
 // Inference-mode conv forward with batch norm already folded (the
-// deployment configuration): packed=1 runs the pre-packed GEMM with the
-// fused bias+leaky epilogue, packed=0 the unpacked reference path.
+// deployment configuration): the pre-packed GEMM with the fused
+// bias+leaky epilogue.
 void BM_ConvForwardInference(benchmark::State& state) {
   const int channels = static_cast<int>(state.range(0));
-  const bool packed = state.range(1) != 0;
-  internal::SetGemmPackingForTesting(packed ? 1 : 0);
   Network net(24, 24, channels, 1);
   ConvLayer::Options o;
   o.filters = channels;
@@ -281,12 +295,8 @@ void BM_ConvForwardInference(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(net.Forward(input).data());
   }
-  internal::SetGemmPackingForTesting(-1);
 }
-BENCHMARK(BM_ConvForwardInference)
-    ->ArgNames({"channels", "packed"})
-    ->Args({64, 0})
-    ->Args({64, 1});
+BENCHMARK(BM_ConvForwardInference)->ArgNames({"channels"})->Arg(64);
 
 void BM_ConvTrainStep(benchmark::State& state) {
   Network net(24, 24, 16, 2);

@@ -14,6 +14,19 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 TIER1_ONLY=0
 [[ "${1:-}" == "--tier1" ]] && TIER1_ONLY=1
 
+echo "== env allowlist: no new environment readers in src/ =="
+# Library behaviour is steered by these variables only. A getenv in src/
+# naming anything else fails here, so new process-wide switches cannot
+# grow back unnoticed.
+ALLOWED_ENV='THALI_INT8|THALI_INT8_CALIB|THALI_INT8_PERCENTILE|THALI_NO_FUSE|THALI_NUM_THREADS|THALI_NET_POLL'
+STRAY_ENV="$(git grep -n getenv -- src/ |
+  grep -Ev "getenv\(\"(${ALLOWED_ENV})\"\)" || true)"
+if [[ -n "${STRAY_ENV}" ]]; then
+  echo "verify: getenv outside the allowlist:"
+  echo "${STRAY_ENV}"
+  exit 1
+fi
+
 echo "== tier-1: configure + build + ctest =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "${JOBS}"
@@ -30,7 +43,8 @@ ctest --test-dir build --output-on-failure -j "${JOBS}" -L net_smoke
 echo "== prepost smoke: pre/post fast-path parity suite =="
 # Letterbox bitwise pin (scalar family), fused letterbox-quantize byte
 # contract, raw-decode and fast-NMS exact-equivalence pins, and the
-# Detect stability pin across THALI_NO_FASTPRE (tests/prepost).
+# Detect pins against a reference pipeline built from the seed
+# letterbox/decode/NMS oracles (tests/prepost).
 ctest --test-dir build --output-on-failure -j "${JOBS}" -L prepost_smoke
 
 echo "== int8 chained-edge gate: calibrated yolov4-thali must chain =="

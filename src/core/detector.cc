@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdlib>
 
-#include "base/fastpre.h"
 #include "base/thread_pool.h"
 #include "darknet/weights_io.h"
 #include "image/image_prepost.h"
@@ -96,14 +95,14 @@ class ReentrancyGuard {
 }  // namespace
 
 Detector::SlotMapping Detector::LoadImageIntoSlot(const Image& image,
-                                                  int64_t b, bool fused_quant) {
+                                                  int64_t b) {
   const int nw = net_->input_width();
   const int nh = net_->input_height();
   const int64_t plane = static_cast<int64_t>(3) * nh * nw;
   THALI_CHECK_EQ(image.channels(), 3);
   SlotMapping m;
   m.direct = image.width() == nw && image.height() == nh;
-  if (fused_quant) {
+  if (net_->exec_plan().input_u8) {
     // Quantized input chain: emit the slot's u8 bytes directly in the
     // plan's input domain. Same-size images go through the shared
     // quantizer alone; others through the fused letterbox-quantize.
@@ -124,20 +123,13 @@ Detector::SlotMapping Detector::LoadImageIntoSlot(const Image& image,
   float* dst = input_staging_.data() + b * plane;
   if (m.direct) {
     std::copy(image.data(), image.data() + plane, dst);
-  } else if (FastPreEnabled()) {
+  } else {
     // Table-driven letterbox straight into the staging slot — no
     // intermediate Image allocation.
     const LetterboxGeometry g = LetterboxIntoPlanes(image, nw, nh, dst);
     m.scale = g.scale;
     m.pad_x = g.pad_x;
     m.pad_y = g.pad_y;
-  } else {
-    const Letterbox lb = LetterboxImage(image, nw, nh);
-    m.scale = lb.scale;
-    m.pad_x = lb.pad_x;
-    m.pad_y = lb.pad_y;
-    THALI_CHECK_EQ(lb.image.size(), plane);
-    std::copy(lb.image.data(), lb.image.data() + plane, dst);
   }
   return m;
 }
@@ -166,14 +158,13 @@ std::vector<std::vector<Detection>> Detector::DetectBatch(
   if (!(input_staging_.shape() == net_->input_shape())) {
     input_staging_.Resize(net_->input_shape());
   }
-  const bool fused_quant = net_->exec_plan().input_u8 && FastPreEnabled();
   ParallelFor(0, n, 1, [&](int64_t b0, int64_t b1, int) {
     for (int64_t b = b0; b < b1; ++b) {
       mappings[static_cast<size_t>(b)] =
-          LoadImageIntoSlot(images[static_cast<size_t>(b)], b, fused_quant);
+          LoadImageIntoSlot(images[static_cast<size_t>(b)], b);
     }
   });
-  if (fused_quant) net_->set_input_prequantized(true);
+  if (net_->exec_plan().input_u8) net_->set_input_prequantized(true);
 
   const auto t1 = std::chrono::steady_clock::now();
   net_->Forward(input_staging_, /*train=*/false);
@@ -219,9 +210,8 @@ void Detector::ForwardImage(const Image& image) {
   // Calibration forwards observe fp32 activations: the input chain is
   // down while ranges are being collected (CalibrateInt8 replans after
   // resetting them), so the fused-quantize route never applies here.
-  const bool fused_quant = net_->exec_plan().input_u8 && FastPreEnabled();
-  LoadImageIntoSlot(image, 0, fused_quant);
-  if (fused_quant) net_->set_input_prequantized(true);
+  LoadImageIntoSlot(image, 0);
+  if (net_->exec_plan().input_u8) net_->set_input_prequantized(true);
   net_->Forward(input_staging_, /*train=*/false);
 }
 

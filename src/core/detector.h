@@ -158,15 +158,13 @@ class Detector {
   };
 
   // Letterboxes `image` into batch slot `b`: the one shared load path
-  // for Detect/DetectBatch/calibration forwards. With `fused_quant` the
-  // slot is staged directly as u8 bytes in the plan's input domain
-  // (image/image_prepost.h fused letterbox-quantize) and the fp32
-  // staging slot is left untouched — a chained layer 0 never reads it.
-  // Otherwise the fast path writes the letterboxed planes straight into
-  // the staging tensor, and THALI_NO_FASTPRE=1 restores the seed
-  // Image-intermediate route bit for bit.
-  SlotMapping LoadImageIntoSlot(const Image& image, int64_t b,
-                                bool fused_quant);
+  // for Detect/DetectBatch/calibration forwards. When the plan chains the
+  // network input (exec_plan().input_u8) the slot is staged directly as
+  // u8 bytes in the plan's input domain (image/image_prepost.h fused
+  // letterbox-quantize) and the fp32 staging slot is left untouched — a
+  // chained layer 0 never reads it. Otherwise the letterboxed planes are
+  // written straight into the staging tensor.
+  SlotMapping LoadImageIntoSlot(const Image& image, int64_t b);
 
   // Letterboxes one image into the staging tensor and runs a batch-1
   // forward pass (calibration passes).

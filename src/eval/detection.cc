@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "base/fastpre.h"
 #include "base/string_util.h"
 
 namespace thali {
@@ -19,28 +18,6 @@ namespace {
 // cached corners/areas, so the degenerate-union guard must be the same
 // constant.
 constexpr float kIouEps = 1e-9f;
-
-std::vector<Detection> NmsImpl(std::vector<Detection> dets,
-                               float iou_threshold, bool class_aware) {
-  std::stable_sort(dets.begin(), dets.end(),
-                   [](const Detection& a, const Detection& b) {
-                     return a.confidence > b.confidence;
-                   });
-  std::vector<Detection> kept;
-  std::vector<bool> suppressed(dets.size(), false);
-  for (size_t i = 0; i < dets.size(); ++i) {
-    if (suppressed[i]) continue;
-    kept.push_back(dets[i]);
-    for (size_t j = i + 1; j < dets.size(); ++j) {
-      if (suppressed[j]) continue;
-      if (class_aware && dets[j].class_id != dets[i].class_id) continue;
-      if (Iou(dets[i].box, dets[j].box) > iou_threshold) {
-        suppressed[j] = true;
-      }
-    }
-  }
-  return kept;
-}
 
 // Fast NMS: same greedy algorithm, same kept set (pinned by the property
 // test in tests/prepost_test.cc), different bookkeeping:
@@ -135,35 +112,39 @@ std::vector<Detection> FastNmsImpl(std::vector<Detection> dets,
   return kept;
 }
 
-std::vector<Detection> NmsDispatch(std::vector<Detection> dets,
-                                   float iou_threshold, bool class_aware) {
-  if (FastPreEnabled()) {
-    return FastNmsImpl(std::move(dets), iou_threshold, class_aware);
-  }
-  return NmsImpl(std::move(dets), iou_threshold, class_aware);
-}
-
 }  // namespace
 
 std::vector<Detection> Nms(std::vector<Detection> dets, float iou_threshold) {
-  return NmsDispatch(std::move(dets), iou_threshold, /*class_aware=*/true);
+  return FastNmsImpl(std::move(dets), iou_threshold, /*class_aware=*/true);
 }
 
 std::vector<Detection> NmsClassAgnostic(std::vector<Detection> dets,
                                         float iou_threshold) {
-  return NmsDispatch(std::move(dets), iou_threshold, /*class_aware=*/false);
+  return FastNmsImpl(std::move(dets), iou_threshold, /*class_aware=*/false);
 }
 
 namespace internal {
 
 std::vector<Detection> NmsReference(std::vector<Detection> dets,
                                     float iou_threshold, bool class_aware) {
-  return NmsImpl(std::move(dets), iou_threshold, class_aware);
-}
-
-std::vector<Detection> NmsFast(std::vector<Detection> dets,
-                               float iou_threshold, bool class_aware) {
-  return FastNmsImpl(std::move(dets), iou_threshold, class_aware);
+  std::stable_sort(dets.begin(), dets.end(),
+                   [](const Detection& a, const Detection& b) {
+                     return a.confidence > b.confidence;
+                   });
+  std::vector<Detection> kept;
+  std::vector<bool> suppressed(dets.size(), false);
+  for (size_t i = 0; i < dets.size(); ++i) {
+    if (suppressed[i]) continue;
+    kept.push_back(dets[i]);
+    for (size_t j = i + 1; j < dets.size(); ++j) {
+      if (suppressed[j]) continue;
+      if (class_aware && dets[j].class_id != dets[i].class_id) continue;
+      if (Iou(dets[i].box, dets[j].box) > iou_threshold) {
+        suppressed[j] = true;
+      }
+    }
+  }
+  return kept;
 }
 
 }  // namespace internal

@@ -36,10 +36,9 @@ struct ImageEval {
 // suppresses same-class boxes whose IoU with a kept box exceeds
 // `iou_threshold`. Returns the surviving detections, still sorted.
 //
-// Dispatches between the seed all-pairs implementation and a fast
-// variant (cached areas, per-class index buckets, alive-list compaction)
-// that returns the exact same kept set; THALI_NO_FASTPRE=1 (or the
-// base/fastpre.h testing override) forces the reference.
+// Runs the fast variant (cached areas, per-class index buckets,
+// alive-list compaction), which returns exactly the kept set of the seed
+// all-pairs implementation, internal::NmsReference.
 std::vector<Detection> Nms(std::vector<Detection> dets, float iou_threshold);
 
 // Class-agnostic variant (suppresses across classes); not used by the
@@ -49,13 +48,10 @@ std::vector<Detection> NmsClassAgnostic(std::vector<Detection> dets,
 
 namespace internal {
 
-// Direct entry points to both NMS implementations, bypassing the
-// FastPreEnabled dispatch — the equivalence property test compares them
-// on the same input.
+// The seed all-pairs NMS: the oracle the equivalence property tests
+// compare Nms (class_aware) and NmsClassAgnostic against.
 std::vector<Detection> NmsReference(std::vector<Detection> dets,
                                     float iou_threshold, bool class_aware);
-std::vector<Detection> NmsFast(std::vector<Detection> dets,
-                               float iou_threshold, bool class_aware);
 
 }  // namespace internal
 

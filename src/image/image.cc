@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "base/fastpre.h"
 #include "image/image_prepost.h"
 
 namespace thali {
@@ -34,13 +33,26 @@ void Image::Clamp01() {
 Image Resize(const Image& src, int new_width, int new_height) {
   THALI_CHECK(!src.empty());
   Image dst(new_width, new_height, src.channels());
-  if (FastPreEnabled()) {
-    // Table-driven kernel family (image_prepost.h). The scalar family is
-    // bitwise identical to the reference loop below; the AVX2 family is
-    // covered by the documented tolerance.
-    ResizeIntoPlanes(src, new_width, new_height, dst.data());
-    return dst;
-  }
+  ResizeIntoPlanes(src, new_width, new_height, dst.data());
+  return dst;
+}
+
+Letterbox LetterboxImage(const Image& src, int target_w, int target_h) {
+  Letterbox out;
+  out.image = Image(target_w, target_h, src.channels());
+  const LetterboxGeometry g =
+      LetterboxIntoPlanes(src, target_w, target_h, out.image.data());
+  out.scale = g.scale;
+  out.pad_x = g.pad_x;
+  out.pad_y = g.pad_y;
+  return out;
+}
+
+namespace internal {
+
+Image ResizeReference(const Image& src, int new_width, int new_height) {
+  THALI_CHECK(!src.empty());
+  Image dst(new_width, new_height, src.channels());
   const float sx =
       new_width > 1 ? static_cast<float>(src.width() - 1) / (new_width - 1)
                     : 0.0f;
@@ -69,26 +81,15 @@ Image Resize(const Image& src, int new_width, int new_height) {
   return dst;
 }
 
-Letterbox LetterboxImage(const Image& src, int target_w, int target_h) {
+Letterbox LetterboxReference(const Image& src, int target_w, int target_h) {
   Letterbox out;
   out.image = Image(target_w, target_h, src.channels());
-  if (FastPreEnabled()) {
-    // No intermediate resized Image, no full-canvas pre-fill: the row
-    // kernels write the interior straight into the canvas and only the
-    // pad bands are grey-filled.
-    const LetterboxGeometry g =
-        LetterboxIntoPlanes(src, target_w, target_h, out.image.data());
-    out.scale = g.scale;
-    out.pad_x = g.pad_x;
-    out.pad_y = g.pad_y;
-    return out;
-  }
   const float scale =
       std::min(static_cast<float>(target_w) / src.width(),
                static_cast<float>(target_h) / src.height());
   const int new_w = std::max(1, static_cast<int>(src.width() * scale));
   const int new_h = std::max(1, static_cast<int>(src.height() * scale));
-  Image resized = Resize(src, new_w, new_h);
+  Image resized = ResizeReference(src, new_w, new_h);
 
   out.pad_x = (target_w - new_w) / 2;
   out.pad_y = (target_h - new_h) / 2;
@@ -110,6 +111,8 @@ Letterbox LetterboxImage(const Image& src, int target_w, int target_h) {
   Paste(resized, out.pad_x, out.pad_y, out.image);
   return out;
 }
+
+}  // namespace internal
 
 void RgbToHsv(float r, float g, float b, float* h, float* s, float* v) {
   const float mx = std::max({r, g, b});

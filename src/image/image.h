@@ -97,6 +97,16 @@ struct Letterbox {
 };
 Letterbox LetterboxImage(const Image& src, int target_w, int target_h);
 
+namespace internal {
+
+// The seed bilinear resize and letterbox loops: the oracles the
+// table-driven kernel families behind Resize/LetterboxImage are pinned
+// against (the scalar family is bitwise identical to them).
+Image ResizeReference(const Image& src, int new_width, int new_height);
+Letterbox LetterboxReference(const Image& src, int target_w, int target_h);
+
+}  // namespace internal
+
 // RGB<->HSV conversions on single pixels; h in [0,1) (wrapping), s,v in
 // [0,1].
 void RgbToHsv(float r, float g, float b, float* h, float* s, float* v);

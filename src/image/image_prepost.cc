@@ -23,7 +23,7 @@ std::atomic<int> g_resize_override{0};
 // from tables instead of recomputed. The table entries hold the exact
 // floats the seed loop computes (same fx = x*sx derivation), and the
 // whole build runs -ffp-contract=off, so this is bitwise identical to
-// image.cc's reference loop.
+// internal::ResizeReference.
 void ResizeRowScalar(const float* r0, const float* r1, float wy,
                      const int32_t* ix0, const int32_t* ix1, const float* wx,
                      int nw, float* dst) {

@@ -15,14 +15,14 @@ namespace thali {
 // Runtime dispatch mirrors the PR-3 kernel families (tensor/act_kernels):
 // one portable scalar family plus an AVX2 gather+FMA family in its own
 // -mavx2 TU, selected once per process from CpuInfo(). The scalar family
-// evaluates the seed expression of image.cc's Resize operation for
-// operation — same index/weight derivation, same 4-tap sum order — so
+// evaluates the seed expression of internal::ResizeReference (image.h)
+// operation for operation — same index/weight derivation, same 4-tap sum order — so
 // its output is bitwise identical to the reference (the parity tests pin
 // this). The AVX2 family reassociates the taps into lerp FMAs and is
 // covered by a small per-element tolerance instead.
 
-// Geometry of a letterbox: the same arithmetic as image.cc's
-// LetterboxImage, exposed so callers can remap boxes without holding the
+// Geometry of a letterbox: the same arithmetic as
+// internal::LetterboxReference, exposed so callers can remap boxes without holding the
 // resized Image.
 struct LetterboxGeometry {
   float scale = 1.0f;  // src pixels -> canvas pixels

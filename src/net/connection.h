@@ -60,10 +60,12 @@ class Connection {
   // Returns true if new bytes became writable.
   bool PumpPending();
 
-  // True while any reply is queued or buffered (the event loop polls
-  // futures only for connections that report true).
+  // True while a complete inbound frame awaits dispatch or any reply is
+  // queued or buffered. The event loop sleeps its short busy tick
+  // instead of the idle one while any connection reports true, so
+  // pipelined frames that arrived in one recv are not held back.
   bool HasPendingWork() const {
-    return !pending_.empty() || !outbox_.empty();
+    return reader_.HasFrame() || !pending_.empty() || !outbox_.empty();
   }
   size_t pending_count() const { return pending_.size(); }
 

@@ -118,6 +118,13 @@ Status FrameReader::Feed(std::span<const uint8_t> bytes) {
   return error_;
 }
 
+bool FrameReader::HasFrame() const {
+  if (!error_.ok() || buf_.size() < kHeaderBytes) return false;
+  FrameHeader h;
+  return ParseHeader(buf_, &h).ok() &&
+         buf_.size() >= kHeaderBytes + h.payload_len;
+}
+
 bool FrameReader::NextFrame(FrameHeader* header, std::vector<uint8_t>* payload) {
   if (!error_.ok() || buf_.size() < kHeaderBytes) return false;
   FrameHeader h;

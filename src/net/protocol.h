@@ -116,6 +116,9 @@ class FrameReader {
   // Moves the next complete frame out; false if none is buffered.
   bool NextFrame(FrameHeader* header, std::vector<uint8_t>* payload);
 
+  // True when NextFrame would return a frame.
+  bool HasFrame() const;
+
  private:
   std::vector<uint8_t> buf_;
   Status error_;  // sticky

@@ -103,7 +103,7 @@ int64_t ConvLayer::WorkspaceSize() const {
                                      in_shape_.dim(3));
     case ConvAlgo::kQuantInt8: {
       // The int8 path's byte scratch, and enough for the fp32 forward it
-      // falls back to before calibration (or under THALI_NO_PACK):
+      // falls back to before calibration:
       // Winograd at stride 1, the im2col panel at stride 2.
       const int64_t k = in_c_ * opts_.ksize * opts_.ksize;
       const int64_t int8_floats =
@@ -196,7 +196,7 @@ void ConvLayer::PrepackWeights() {
     // Quantize the fp32 weights per output channel. The fp32 pack below
     // (Winograd for stride-1 3x3, plain panels for 1x1 and the strided
     // prefix) is kept too: Forward falls back to it until the layer has
-    // a calibrated activation range (and under THALI_NO_PACK).
+    // a calibrated activation range.
     const int64_t m = opts_.filters;
     const int64_t k = in_c_ * opts_.ksize * opts_.ksize;
     const Shape qshape({m, Int8PackedK(k)});
@@ -216,30 +216,22 @@ void ConvLayer::PrepackWeights() {
   if (plan().conv_algo == ConvAlgo::kQuantInt8Direct1x1) {
     // The 1x1 quant path shares the plain fp32 panel pack below for its
     // kDirect1x1 fallback; no Winograd state.
-    u_ = Tensor();
     wino_packed_ = Tensor();
   }
   if (plan().conv_algo == ConvAlgo::kWinograd ||
       (plan().conv_algo == ConvAlgo::kQuantInt8 && opts_.stride == 1)) {
-    // Winograd plans always hold U = G w G^T (the GEMM A matrices); the
-    // prepacked panel copy exists only while the packed driver is on —
-    // THALI_NO_PACK runs the 16 GEMMs through the reference entry point
-    // straight from u_.
-    const int64_t uf = WinogradWeightFloats(opts_.filters, in_c_);
-    if (u_.size() != uf) u_.Resize(Shape({uf}));
-    WinogradTransformWeights(weights_.data(), opts_.filters, in_c_, u_.data());
-    if (GemmPackingEnabled()) {
-      const int64_t pf = WinogradPackedWeightFloats(opts_.filters, in_c_);
-      if (wino_packed_.size() != pf) wino_packed_.Resize(Shape({pf}));
-      WinogradPackWeights(u_.data(), opts_.filters, in_c_, wino_packed_.data());
-    } else {
-      wino_packed_ = Tensor();
-    }
+    // Winograd plans keep only the prepacked GEMM A panels of
+    // U = G w G^T; the unpacked U is a transient.
+    std::vector<float> u(
+        static_cast<size_t>(WinogradWeightFloats(opts_.filters, in_c_)));
+    WinogradTransformWeights(weights_.data(), opts_.filters, in_c_, u.data());
+    const int64_t pf = WinogradPackedWeightFloats(opts_.filters, in_c_);
+    if (wino_packed_.size() != pf) wino_packed_.Resize(Shape({pf}));
+    WinogradPackWeights(u.data(), opts_.filters, in_c_, wino_packed_.data());
     packed_weights_ = Tensor();
     packed_dirty_ = false;
     return;
   }
-  if (!GemmPackingEnabled()) return;
   const int64_t m = opts_.filters;
   const int64_t k = in_c_ * opts_.ksize * opts_.ksize;
   const int64_t floats = GemmPackedWeightFloats(m, k);
@@ -247,7 +239,6 @@ void ConvLayer::PrepackWeights() {
     packed_weights_.Resize(Shape({floats}));
   }
   GemmPackWeights(weights_.data(), m, k, packed_weights_.data());
-  u_ = Tensor();
   wino_packed_ = Tensor();
   packed_dirty_ = false;
 }
@@ -289,16 +280,15 @@ void ConvLayer::Forward(const Tensor& input, Network& net, bool train) {
     if (net.calib_phase() != CalibPhase::kOff) {
       ObserveCalibration(input, net.calib_phase());
     }
-    // The quantized path needs a calibrated input range, folded batch
-    // norm and the packed-GEMM regime; until then (and during
-    // calibration passes) the layer runs its fp32 fallback — Winograd
-    // for the 3x3 geometry, direct 1x1 otherwise. A CHAINED layer has
-    // no fp32 fallback (its u8 input is never materialized as floats),
-    // which is why every calibration-state change must go through
-    // Network::ReplanInference before the next Forward.
+    // The quantized path needs a calibrated input range and folded batch
+    // norm; until then (and during calibration passes) the layer runs its
+    // fp32 fallback — Winograd for the 3x3 geometry, direct 1x1
+    // otherwise. A CHAINED layer has no fp32 fallback (its u8 input is
+    // never materialized as floats), which is why every calibration-state
+    // change must go through Network::ReplanInference before the next
+    // Forward.
     const bool int8_active = !opts_.batch_normalize && has_act_range_ &&
-                             net.calib_phase() == CalibPhase::kOff &&
-                             GemmPackingEnabled();
+                             net.calib_phase() == CalibPhase::kOff;
     if (!int8_active) {
       THALI_CHECK(plan().in_dtype == DType::kF32 &&
                   plan().out_dtype == DType::kF32)
@@ -339,33 +329,31 @@ void ConvLayer::Forward(const Tensor& input, Network& net, bool train) {
   // once batch norm has been folded away — fuse the bias add and simple
   // activations into the GEMM's C write-back. Leaky/ReLU fusion
   // replicates the separate passes op for op, so outputs stay bitwise
-  // identical to the staged path (and to THALI_NO_PACK=1 runs); the
-  // mish epilogue (fused plans only) runs the same fast kernel the
-  // separate pass would, so packed and unpacked runs still agree.
-  const bool use_packed = inference() && GemmPackingEnabled();
+  // identical to the staged path; the mish epilogue (fused plans only)
+  // runs the same fast kernel the separate pass would. Training
+  // networks keep the unpacked Gemm entry point.
   if (algo == ConvAlgo::kWinograd ||
       (algo == ConvAlgo::kQuantInt8 && opts_.stride == 1)) {
     // FoldBatchNorm and weight loading invalidate the transformed (and
     // quantized) weights too; re-derive lazily like the packed panels.
-    if (packed_dirty_ || u_.size() == 0 ||
-        (use_packed && wino_packed_.size() == 0) ||
+    if (packed_dirty_ || wino_packed_.size() == 0 ||
         (plan().conv_algo == ConvAlgo::kQuantInt8 && qweights_.empty())) {
       PrepackWeights();
     }
   } else if (algo == ConvAlgo::kQuantInt8) {
     // Strided quantized conv: no Winograd state; the packed fp32 panels
     // back the im2col fallback.
-    if (packed_dirty_ || qweights_.empty() ||
-        (use_packed && packed_weights_.size() == 0)) {
+    if (packed_dirty_ || qweights_.empty() || packed_weights_.size() == 0) {
       PrepackWeights();
     }
-  } else if (use_packed && (packed_dirty_ || packed_weights_.size() == 0)) {
+  } else if (inference() &&
+             (packed_dirty_ || packed_weights_.size() == 0)) {
     PrepackWeights();
   }
   GemmEpilogue epilogue;
   bool fused_bias = false;
   bool fused_act = false;
-  if (use_packed && algo != ConvAlgo::kWinograd &&
+  if (inference() && algo != ConvAlgo::kWinograd &&
       algo != ConvAlgo::kQuantInt8 && !opts_.batch_normalize) {
     epilogue.bias = biases_.data();
     fused_bias = true;
@@ -589,7 +577,6 @@ void ConvLayer::Forward(const Tensor& input, Network& net, bool train) {
     // into spans the whole output).
     const int64_t wino_ws = WinogradWorkspaceFloats(
         in_c_, opts_.filters, in_shape_.dim(2), in_shape_.dim(3));
-    const float* u_packed = use_packed ? wino_packed_.data() : nullptr;
     ParallelForBounded(
         0, batch, 1, net.workspace_slots(),
         [&](int64_t b0, int64_t b1, int tid) {
@@ -597,7 +584,7 @@ void ConvLayer::Forward(const Tensor& input, Network& net, bool train) {
           for (int64_t b = b0; b < b1; ++b) {
             WinogradForward(input.data() + b * in_item, in_chan_stride,
                             in_c_, in_shape_.dim(2), in_shape_.dim(3),
-                            u_.data(), u_packed, opts_.filters,
+                            /*u=*/nullptr, wino_packed_.data(), opts_.filters,
                             raw.data() + b * out_item, out_chan_stride, ws);
           }
         });
@@ -605,30 +592,19 @@ void ConvLayer::Forward(const Tensor& input, Network& net, bool train) {
     // Blocked layout on both sides: the whole batch is one GEMM over
     // the [C, batch*HW] input block — identical per-element accumulation
     // chains to the per-item GEMMs, just wider.
-    if (use_packed) {
-      GemmPrepacked(m, batch * n, k, packed_weights_.data(), /*tb=*/false,
-                    input.data(), batch * in_hw, 0.0f, raw.data(),
-                    batch * out_hw, fused_bias ? &epilogue : nullptr);
-    } else {
-      Gemm(false, false, m, batch * n, k, 1.0f, weights_.data(), k,
-           input.data(), batch * in_hw, 0.0f, raw.data(), batch * out_hw);
-    }
+    GemmPrepacked(m, batch * n, k, packed_weights_.data(), /*tb=*/false,
+                  input.data(), batch * in_hw, 0.0f, raw.data(),
+                  batch * out_hw, fused_bias ? &epilogue : nullptr);
   } else if (algo == ConvAlgo::kDirect1x1) {
     // Mixed or NCHW layouts: one strided GEMM per item, no im2col.
     ParallelForBounded(
         0, batch, 1, net.workspace_slots(),
         [&](int64_t b0, int64_t b1, int) {
           for (int64_t b = b0; b < b1; ++b) {
-            const float* bmat = input.data() + b * in_item;
-            float* cmat = raw.data() + b * out_item;
-            if (use_packed) {
-              GemmPrepacked(m, n, k, packed_weights_.data(), /*tb=*/false,
-                            bmat, in_chan_stride, 0.0f, cmat,
-                            out_chan_stride, fused_bias ? &epilogue : nullptr);
-            } else {
-              Gemm(false, false, m, n, k, 1.0f, weights_.data(), k, bmat,
-                   in_chan_stride, 0.0f, cmat, out_chan_stride);
-            }
+            GemmPrepacked(m, n, k, packed_weights_.data(), /*tb=*/false,
+                          input.data() + b * in_item, in_chan_stride, 0.0f,
+                          raw.data() + b * out_item, out_chan_stride,
+                          fused_bias ? &epilogue : nullptr);
           }
         });
   } else {
@@ -643,7 +619,7 @@ void ConvLayer::Forward(const Tensor& input, Network& net, bool train) {
             float* dst = cols_cached_ ? col_cache_.data() + b * col_plane : ws;
             const float* col =
                 PrepareCol(input.data() + b * in_item, in_chan_stride, dst);
-            if (use_packed) {
+            if (inference()) {
               GemmPrepacked(m, n, k, packed_weights_.data(), /*tb=*/false,
                             col, n, 0.0f, raw.data() + b * out_item,
                             out_chan_stride, fused_bias ? &epilogue : nullptr);

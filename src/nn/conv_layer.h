@@ -145,9 +145,8 @@ class ConvLayer : public Layer {
   Tensor packed_weights_;      // microkernel panel layout (inference only)
   QTensor qweights_;           // per-channel int8 rows (kQuantInt8 plans)
   std::vector<int32_t> wcolsum_;  // per-filter quantized-row sums
-  Tensor u_;                   // Winograd-transformed weights U = G w G^T
-                               // (16 x F x C; kWinograd plans only)
-  Tensor wino_packed_;         // the 16 U_k prepacked into GEMM A panels
+  Tensor wino_packed_;         // the 16 Winograd U_k = G w G^T matrices
+                               // prepacked into GEMM A panels
   bool packed_dirty_ = true;   // weights_ changed since the last pack
   Tensor biases_, bias_grads_;
   // Batch-norm parameters (allocated only when batch_normalize).

@@ -12,7 +12,6 @@
 #include "nn/network.h"
 #include "nn/route_layer.h"
 #include "nn/shortcut_layer.h"
-#include "tensor/gemm.h"
 #include "tensor/gemm_int8.h"
 
 namespace thali {
@@ -211,8 +210,7 @@ ArenaPlan PlanActivationArena(const Network& net) {
                           std::vector<int64_t>(static_cast<size_t>(n), 0));
 }
 
-ExecPlan CompileExecPlan(const Network& net, bool fuse, bool arena_enabled,
-                         bool int8) {
+ExecPlan CompileExecPlan(const Network& net, bool fuse, bool int8) {
   const int n = net.num_layers();
   ExecPlan plan;
   plan.fused = fuse;
@@ -327,84 +325,82 @@ ExecPlan CompileExecPlan(const Network& net, bool fuse, bool arena_enabled,
       lp.fast_act = o.activation == Activation::kMish;
     }
 
-    // 3. Copy elision. Only legal with the arena (aliases are offsets
-    // into shared storage) and when a channel range is one contiguous
-    // span: CNHW at any batch, or any layout at batch 1.
-    if (arena_enabled) {
-      const int64_t batch = net.batch();
-      std::vector<char> has_child(static_cast<size_t>(n), 0);
-      auto resolve_root = [&](int i) {
-        while (parent[static_cast<size_t>(i)] >= 0) {
-          i = parent[static_cast<size_t>(i)];
-        }
-        return i;
-      };
-      for (int r = 0; r < n; ++r) {
-        const std::string_view kind = net.layer(r).kind();
-        LayerPlan& lp = plan.layers[static_cast<size_t>(r)];
-        const bool span_ok =
-            lp.in_layout == lp.out_layout &&
-            (lp.out_layout == ActLayout::kCNHW || batch == 1);
-        if (!span_ok) continue;
-        if (kind == "route") {
-          const auto& rt = static_cast<const RouteLayer&>(net.layer(r));
-          const std::vector<int>& srcs = rt.source_indices();
-          const int64_t plane =
-              batch * net.layer(r).output_shape().dim(2) *
-              net.layer(r).output_shape().dim(3);
-          if (srcs.size() == 1) {
-            // Group-split view: the route's output is a contiguous
-            // channel slice of its (sole) source; alias it in place.
-            // Safe even when the source is itself aliased — the route
-            // writes nothing.
-            parent[static_cast<size_t>(r)] = srcs[0];
-            poffset[static_cast<size_t>(r)] =
-                rt.source_offsets()[0] * plane;
-            has_child[static_cast<size_t>(srcs[0])] = 1;
-            lp.copy_elided = true;
-            continue;
-          }
-          // Concat adoption: every source writes its output directly
-          // into the concat's block (this folds upsample+route pairs
-          // too). All-or-nothing — a source that is partial (grouped
-          // slice), already aliased elsewhere, or repeated keeps the
-          // whole route on the plain copy path.
-          bool ok = true;
-          for (size_t s = 0; s < srcs.size() && ok; ++s) {
-            const int src = srcs[s];
-            ok = rt.source_offsets()[s] == 0 &&
-                 rt.source_channels()[s] ==
-                     net.layer(src).output_shape().dim(1) &&
-                 parent[static_cast<size_t>(src)] == -1 &&
-                 resolve_root(src) == src;
-            for (size_t t = 0; t < s && ok; ++t) ok = srcs[t] != src;
-          }
-          if (!ok) continue;
-          int64_t chan_base = 0;
-          for (size_t s = 0; s < srcs.size(); ++s) {
-            parent[static_cast<size_t>(srcs[s])] = r;
-            poffset[static_cast<size_t>(srcs[s])] = chan_base * plane;
-            chan_base += rt.source_channels()[s];
-          }
-          has_child[static_cast<size_t>(r)] = 1;
+    // 3. Copy elision. Aliases are offsets into the shared arena, legal
+    // when a channel range is one contiguous span: CNHW at any batch, or
+    // any layout at batch 1.
+    const int64_t batch = net.batch();
+    std::vector<char> has_child(static_cast<size_t>(n), 0);
+    auto resolve_root = [&](int i) {
+      while (parent[static_cast<size_t>(i)] >= 0) {
+        i = parent[static_cast<size_t>(i)];
+      }
+      return i;
+    };
+    for (int r = 0; r < n; ++r) {
+      const std::string_view kind = net.layer(r).kind();
+      LayerPlan& lp = plan.layers[static_cast<size_t>(r)];
+      const bool span_ok =
+          lp.in_layout == lp.out_layout &&
+          (lp.out_layout == ActLayout::kCNHW || batch == 1);
+      if (!span_ok) continue;
+      if (kind == "route") {
+        const auto& rt = static_cast<const RouteLayer&>(net.layer(r));
+        const std::vector<int>& srcs = rt.source_indices();
+        const int64_t plane =
+            batch * net.layer(r).output_shape().dim(2) *
+            net.layer(r).output_shape().dim(3);
+        if (srcs.size() == 1) {
+          // Group-split view: the route's output is a contiguous
+          // channel slice of its (sole) source; alias it in place.
+          // Safe even when the source is itself aliased — the route
+          // writes nothing.
+          parent[static_cast<size_t>(r)] = srcs[0];
+          poffset[static_cast<size_t>(r)] =
+              rt.source_offsets()[0] * plane;
+          has_child[static_cast<size_t>(srcs[0])] = 1;
           lp.copy_elided = true;
-        } else if (kind == "shortcut" && r > 0) {
-          // In-place residual add: output aliases the previous layer's
-          // block when nothing reads that block after this step and it
-          // is not shared with anyone else. The elementwise o=a+b reads
-          // each element before overwriting it, so no code change is
-          // needed in the layer.
-          const int prev = r - 1;
-          if (last_use[static_cast<size_t>(prev)] == r &&
-              parent[static_cast<size_t>(prev)] == -1 &&
-              !has_child[static_cast<size_t>(prev)] &&
-              net.layer(prev).output_shape().num_elements() ==
-                  net.layer(r).output_shape().num_elements()) {
-            parent[static_cast<size_t>(r)] = prev;
-            poffset[static_cast<size_t>(r)] = 0;
-            has_child[static_cast<size_t>(prev)] = 1;
-            lp.copy_elided = true;
-          }
+          continue;
+        }
+        // Concat adoption: every source writes its output directly
+        // into the concat's block (this folds upsample+route pairs
+        // too). All-or-nothing — a source that is partial (grouped
+        // slice), already aliased elsewhere, or repeated keeps the
+        // whole route on the plain copy path.
+        bool ok = true;
+        for (size_t s = 0; s < srcs.size() && ok; ++s) {
+          const int src = srcs[s];
+          ok = rt.source_offsets()[s] == 0 &&
+               rt.source_channels()[s] ==
+                   net.layer(src).output_shape().dim(1) &&
+               parent[static_cast<size_t>(src)] == -1 &&
+               resolve_root(src) == src;
+          for (size_t t = 0; t < s && ok; ++t) ok = srcs[t] != src;
+        }
+        if (!ok) continue;
+        int64_t chan_base = 0;
+        for (size_t s = 0; s < srcs.size(); ++s) {
+          parent[static_cast<size_t>(srcs[s])] = r;
+          poffset[static_cast<size_t>(srcs[s])] = chan_base * plane;
+          chan_base += rt.source_channels()[s];
+        }
+        has_child[static_cast<size_t>(r)] = 1;
+        lp.copy_elided = true;
+      } else if (kind == "shortcut" && r > 0) {
+        // In-place residual add: output aliases the previous layer's
+        // block when nothing reads that block after this step and it
+        // is not shared with anyone else. The elementwise o=a+b reads
+        // each element before overwriting it, so no code change is
+        // needed in the layer.
+        const int prev = r - 1;
+        if (last_use[static_cast<size_t>(prev)] == r &&
+            parent[static_cast<size_t>(prev)] == -1 &&
+            !has_child[static_cast<size_t>(prev)] &&
+            net.layer(prev).output_shape().num_elements() ==
+                net.layer(r).output_shape().num_elements()) {
+          parent[static_cast<size_t>(r)] = prev;
+          poffset[static_cast<size_t>(r)] = 0;
+          has_child[static_cast<size_t>(prev)] = 1;
+          lp.copy_elided = true;
         }
       }
     }
@@ -418,7 +414,7 @@ ExecPlan CompileExecPlan(const Network& net, bool fuse, bool arena_enabled,
     // or LoadCalibration installs ranges. Dropping ranges
     // (ResetCalibration) must likewise replan, because a chained conv
     // has no fp32 fallback.
-    if (int8 && GemmPackingEnabled()) {
+    if (int8) {
       // qconv: convs the runtime int8 gate will actually keep quantized
       // (algo selected int8, range installed, batch norm folded).
       // qprod: qconv whose activation the requantize epilogue can apply
@@ -649,7 +645,7 @@ ExecPlan CompileExecPlan(const Network& net, bool fuse, bool arena_enabled,
   }
 
   plan.arena = PlanArenaGrouped(net, last_use, parent, poffset);
-  plan.arena.enabled = arena_enabled;
+  plan.arena.enabled = net.exec_mode() == ExecMode::kInference;
   return plan;
 }
 

@@ -16,12 +16,11 @@ class Network;
 //  kTraining  — every layer owns its output and a same-sized delta
 //               tensor plus whatever backward caches it needs; batch
 //               statistics may be updated. This is the seed behaviour.
-//  kInference — no delta tensors, no backward caches, and (unless the
-//               THALI_NO_ARENA environment variable is set) layer
-//               outputs live at planned offsets inside one shared
-//               activation arena, reusing storage between layers whose
-//               liveness intervals do not overlap. Forward(train=true)
-//               is a programming error on an inference network.
+//  kInference — no delta tensors, no backward caches, and layer outputs
+//               live at planned offsets inside one shared activation
+//               arena, reusing storage between layers whose liveness
+//               intervals do not overlap. Forward(train=true) is a
+//               programming error on an inference network.
 enum class ExecMode { kTraining, kInference };
 
 const char* ExecModeName(ExecMode mode);
@@ -156,7 +155,7 @@ struct ArenaAssignment {
 // The planner's result: per-layer offsets plus the headline numbers the
 // acceptance bench reports (peak arena floats vs the no-reuse sum).
 struct ArenaPlan {
-  // False when planning was skipped (training mode or THALI_NO_ARENA);
+  // False for training networks, whose layers own their outputs;
   // assignments/arena_floats are still filled so reports can show what
   // the planner *would* save.
   bool enabled = false;
@@ -219,7 +218,7 @@ struct ExecPlan {
 //     through GEMM strides, so no standalone convert pass ever runs.
 //  2. Conv algorithms: kDirect1x1 / kWinograd / kIm2col by geometry,
 //     plus fast_act for mish convs.
-//  3. Copy elision (only when arena_enabled): route layers whose
+//  3. Copy elision: route layers whose
 //     sources can legally alias arena storage are folded away — a
 //     group-split route becomes a view into its source, a concat route
 //     adopts its sources so they write into the concat's block
@@ -232,8 +231,7 @@ struct ExecPlan {
 // be configured (shapes known).
 // With int8=true (latched from THALI_INT8 by Network::Finalize), step 2
 // upgrades eligible Winograd-geometry convs to kQuantInt8.
-ExecPlan CompileExecPlan(const Network& net, bool fuse, bool arena_enabled,
-                         bool int8 = false);
+ExecPlan CompileExecPlan(const Network& net, bool fuse, bool int8 = false);
 
 // Liveness-based first-fit arena planning over the network DAG. A
 // layer's output is live from the step that produces it through its last

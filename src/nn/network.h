@@ -37,8 +37,7 @@ class Network {
   // workspace and plans output storage. Must be called once after the
   // last Add. kTraining reproduces the seed allocator (per-layer output
   // + delta); kInference skips deltas/backward caches and places outputs
-  // in a liveness-planned shared arena unless the THALI_NO_ARENA
-  // environment variable is set (each layer then owns its output).
+  // in a liveness-planned shared arena.
   Status Finalize(ExecMode mode = ExecMode::kTraining);
 
   // Changes the batch dimension of an already-finalized network:
@@ -94,7 +93,7 @@ class Network {
   // Execution mode chosen at Finalize.
   ExecMode exec_mode() const { return mode_; }
 
-  // THALI_INT8 opt-in, latched at Finalize like the fuse/arena knobs.
+  // THALI_INT8 opt-in, latched at Finalize like the fuse knob.
   // When false the plan compiler never emits kQuantInt8.
   bool int8_enabled() const { return int8_enabled_; }
 
@@ -103,10 +102,10 @@ class Network {
   CalibPhase calib_phase() const { return calib_phase_; }
   void set_calib_phase(CalibPhase phase) { calib_phase_ = phase; }
 
-  // Opt-in for the decode fast path (base/fastpre.h): when set on an
-  // inference network, YOLO heads skip their Forward sigmoid loops and
-  // leave output_ holding RAW logits; GetDetections then pre-filters in
-  // logit space and activates only surviving cells (bitwise identical
+  // Opt-in for the deferred head decode: when set on an inference
+  // network, YOLO heads skip their Forward sigmoid loops and leave
+  // output_ holding RAW logits; GetDetections then pre-filters in logit
+  // space and activates only surviving cells (bitwise identical
   // detections). Only owners that never read head outputs directly
   // (Detector) should set this — raw Network users keep the seed
   // sigmoided outputs.
@@ -117,8 +116,7 @@ class Network {
 
   // The activation-arena plan computed at Finalize/SetBatch. For
   // kTraining networks the plan is computed for reporting only
-  // (enabled=false); for kInference it reflects the live layout unless
-  // THALI_NO_ARENA disabled placement.
+  // (enabled=false); for kInference it is the live layout.
   const ArenaPlan& arena_plan() const { return eplan_.arena; }
 
   // The full execution plan (per-layer layouts, conv algorithms, copy
@@ -128,9 +126,8 @@ class Network {
   const ExecPlan& exec_plan() const { return eplan_; }
 
   // Bytes of activation buffers this network holds live: outputs plus
-  // deltas in training mode; the arena (or per-layer outputs under
-  // THALI_NO_ARENA) in inference mode. The acceptance metric the memory
-  // bench reports.
+  // deltas in training mode; the arena in inference mode. The acceptance
+  // metric the memory bench reports.
   int64_t ActivationBytes() const;
 
   // Per-thread scratch buffer (im2col panels). Finalize sizes one slot
@@ -183,9 +180,9 @@ class Network {
   bool finalized() const { return finalized_; }
 
  private:
-  // (Re)plans output storage: computes the arena plan and either binds
-  // layer outputs into arena_ (inference + arena enabled) or gives each
-  // layer an owned output buffer. Also records the planner report.
+  // (Re)plans output storage: compiles the execution plan and, for
+  // inference networks, binds every layer output into arena_. Training
+  // layers keep the owned outputs SetShapes gave them.
   void PlanBuffers();
 
   int width_;
@@ -193,9 +190,8 @@ class Network {
   int channels_;
   int batch_;
   ExecMode mode_ = ExecMode::kTraining;
-  // THALI_NO_ARENA / THALI_NO_FUSE, sampled once at Finalize so later
-  // SetBatch re-plans keep the same decisions.
-  bool arena_disabled_ = false;
+  // THALI_NO_FUSE, sampled once at Finalize so later SetBatch re-plans
+  // keep the same decision.
   bool fuse_disabled_ = false;
   // THALI_INT8, sampled once at Finalize (opt-in, so the default is off).
   bool int8_enabled_ = false;

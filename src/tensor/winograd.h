@@ -14,8 +14,8 @@ namespace thali {
 //   1. input transform   V[16][C][T] = B^T d B per 4x4 input patch
 //      (tiles overlap by 2; T = ceil(H/2)*ceil(W/2) output tiles),
 //   2. 16 independent GEMMs  M_k[F][T] = U_k[F][C] * V_k[C][T], run
-//      through the packed GEMM driver (prepacked U panels when packing
-//      is enabled, the reference path under THALI_NO_PACK),
+//      through the packed GEMM driver (from prepacked U panels when the
+//      caller supplies them),
 //   3. output transform  Y = A^T M A per tile, scattered to the output
 //      with edge clipping for odd spatial sizes.
 //
@@ -57,8 +57,9 @@ int64_t WinogradWorkspaceFloats(int64_t channels, int64_t filters,
 // One batch item: out = conv3x3_s1_p1(in, w) with channel strides
 // `in_chan_stride` / `out_chan_stride` between consecutive channel
 // planes (H*W for NCHW, batch*H*W for the CNHW blocked layout). Output
-// spatial size equals input spatial size. `u_packed` may be null, in
-// which case the plain Gemm entry point is used (THALI_NO_PACK). `ws`
+// spatial size equals input spatial size. The GEMMs run from
+// `u_packed` when it is non-null (`u` is then unused), otherwise from
+// `u` through the plain Gemm entry point. `ws`
 // must hold WinogradWorkspaceFloats(C, F, H, W) floats. Bias and
 // activation are the caller's separate passes.
 void WinogradForward(const float* in, int64_t in_chan_stride, int64_t channels,

@@ -13,6 +13,7 @@
 #include "base/cpu_features.h"
 #include "base/rng.h"
 #include "base/thread_pool.h"
+#include "tensor/act_kernels.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_microkernel.h"
 #include "tensor/gemm_pack.h"
@@ -27,12 +28,11 @@ std::vector<float> RandomVec(int64_t n, uint64_t seed) {
   return v;
 }
 
-// Restores dispatch, packing mode and parallelism after every test.
+// Restores dispatch and parallelism after every test.
 class GemmPackedTest : public ::testing::Test {
  protected:
   void TearDown() override {
     internal::SetGemmKernelForTesting(nullptr);
-    internal::SetGemmPackingForTesting(-1);
     SetMaxParallelism(1);
   }
 };
@@ -46,7 +46,6 @@ void ExpectPackedMatchesReference(bool ta, bool tb, int64_t m, int64_t n,
   const int64_t ldb = tb ? k : n;
 
   std::vector<float> c_packed = c0;
-  internal::SetGemmPackingForTesting(1);
   Gemm(ta, tb, m, n, k, alpha, a.data(), lda, b.data(), ldb, beta,
        c_packed.data(), n);
 
@@ -124,13 +123,13 @@ TEST_F(GemmPackedTest, PrepackedWithEpilogueMatchesSeparatePasses) {
   const auto a = RandomVec(m * k, 5);
   const auto b = RandomVec(k * n, 6);
   const auto bias = RandomVec(m, 7);
-  internal::SetGemmPackingForTesting(1);
 
   std::vector<float> packed(static_cast<size_t>(GemmPackedWeightFloats(m, k)));
   GemmPackWeights(a.data(), m, k, packed.data());
 
   for (const GemmActivation act :
-       {GemmActivation::kNone, GemmActivation::kLeaky, GemmActivation::kRelu}) {
+       {GemmActivation::kNone, GemmActivation::kLeaky, GemmActivation::kRelu,
+        GemmActivation::kMish}) {
     GemmEpilogue epilogue;
     epilogue.bias = bias.data();
     epilogue.activation = act;
@@ -151,6 +150,10 @@ TEST_F(GemmPackedTest, PrepackedWithEpilogueMatchesSeparatePasses) {
       if (act == GemmActivation::kLeaky) x = x > 0 ? x : 0.1f * x;
       if (act == GemmActivation::kRelu) x = x > 0 ? x : 0.0f;
     }
+    // Fused-plan mish: the conv layer's separate fast-family pass.
+    if (act == GemmActivation::kMish) {
+      FastMishInPlace(c_staged.data(), static_cast<int64_t>(c_staged.size()));
+    }
     EXPECT_EQ(std::memcmp(c_fused.data(), c_staged.data(),
                           c_fused.size() * sizeof(float)),
               0)
@@ -162,7 +165,6 @@ TEST_F(GemmPackedTest, PrepackedMatchesPlainGemmAcrossThreadCounts) {
   const int64_t m = 32, n = 170, k = 288;
   const auto a = RandomVec(m * k, 8);
   const auto b = RandomVec(k * n, 9);
-  internal::SetGemmPackingForTesting(1);
   std::vector<float> packed(static_cast<size_t>(GemmPackedWeightFloats(m, k)));
   GemmPackWeights(a.data(), m, k, packed.data());
 
@@ -195,39 +197,28 @@ TEST_F(GemmPackedTest, ForcedScalarFamilyIsSelfConsistent) {
   internal::SetGemmKernelForTesting(nullptr);
 }
 
-TEST_F(GemmPackedTest, PackingOverrideAndEnvParsing) {
-  internal::SetGemmPackingForTesting(0);
-  EXPECT_FALSE(GemmPackingEnabled());
-  internal::SetGemmPackingForTesting(1);
-  EXPECT_TRUE(GemmPackingEnabled());
-  internal::SetGemmPackingForTesting(-1);
-
-  EXPECT_FALSE(internal::NoPackEnvValueDisables(nullptr));
-  EXPECT_FALSE(internal::NoPackEnvValueDisables(""));
-  EXPECT_FALSE(internal::NoPackEnvValueDisables("0"));
-  EXPECT_TRUE(internal::NoPackEnvValueDisables("1"));
-  EXPECT_TRUE(internal::NoPackEnvValueDisables("yes"));
-  EXPECT_TRUE(internal::NoPackEnvValueDisables("00"));
-}
-
+// The unpacked reference kernels survive only as the oracle; the packed
+// driver must still match them on an accumulate-into-C (beta = 1) GEMM
+// at every thread count.
 TEST_F(GemmPackedTest, NoPackPathMatchesPackedPath) {
   const auto a = RandomVec(67 * 129, 12);
   const auto b = RandomVec(129 * 83, 13);
   const auto c0 = RandomVec(67 * 83, 14);
 
-  std::vector<float> c_packed = c0;
-  internal::SetGemmPackingForTesting(1);
-  Gemm(false, false, 67, 83, 129, 1.0f, a.data(), 129, b.data(), 83, 1.0f,
-       c_packed.data(), 83);
-
   std::vector<float> c_nopack = c0;
-  internal::SetGemmPackingForTesting(0);
-  Gemm(false, false, 67, 83, 129, 1.0f, a.data(), 129, b.data(), 83, 1.0f,
-       c_nopack.data(), 83);
+  internal::GemmReference(false, false, 67, 83, 129, 1.0f, a.data(), 129,
+                          b.data(), 83, 1.0f, c_nopack.data(), 83);
 
-  EXPECT_EQ(std::memcmp(c_packed.data(), c_nopack.data(),
-                        c_packed.size() * sizeof(float)),
-            0);
+  for (const int threads : {1, 4}) {
+    SetMaxParallelism(threads);
+    std::vector<float> c_packed = c0;
+    Gemm(false, false, 67, 83, 129, 1.0f, a.data(), 129, b.data(), 83, 1.0f,
+         c_packed.data(), 83);
+    EXPECT_EQ(std::memcmp(c_packed.data(), c_nopack.data(),
+                          c_packed.size() * sizeof(float)),
+              0)
+        << threads << " threads";
+  }
 }
 
 TEST_F(GemmPackedTest, PackedWeightLayoutRoundTrips) {

@@ -49,7 +49,6 @@ class Int8Test : public ::testing::Test {
     internal::SetInt8ForTesting(-1);
     internal::SetInt8GemmKernelForTesting(nullptr);
     internal::SetInt8EpilogueForTesting(nullptr);
-    internal::SetGemmPackingForTesting(-1);
     internal::SetFusionForTesting(-1);
   }
 };

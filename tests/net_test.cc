@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "data/food_classes.h"
 #include "data/renderer.h"
 #include "net/client.h"
+#include "net/connection.h"
 #include "net/event_loop.h"
 #include "net/net_server.h"
 #include "net/protocol.h"
@@ -206,6 +209,26 @@ TEST(ProtocolTest, TruncatedDetectPayloadRejected) {
 
 // ----------------------------------------------------------- event loop --
 
+TEST(ConnectionTest, BufferedCompleteFrameIsPendingWork) {
+  Connection conn(/*fd=*/-1);
+  EXPECT_FALSE(conn.HasPendingWork());
+  std::vector<uint8_t> stream = EncodeFrame(Op::kPing, {{1}});
+  const std::vector<uint8_t> second = EncodeFrame(Op::kPing, {{2}});
+  stream.insert(stream.end(), second.begin(), second.end());
+
+  // A partial frame is not dispatchable yet.
+  ASSERT_TRUE(conn.FeedBytes(std::span<const uint8_t>(stream.data(), 5)).ok());
+  EXPECT_FALSE(conn.HasPendingWork());
+  ASSERT_TRUE(conn.FeedBytes(std::span<const uint8_t>(stream).subspan(5)).ok());
+  FrameHeader header;
+  std::vector<uint8_t> payload;
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_TRUE(conn.HasPendingWork()) << "frame " << i;
+    ASSERT_TRUE(conn.NextFrame(&header, &payload));
+  }
+  EXPECT_FALSE(conn.HasPendingWork());
+}
+
 TEST(EventLoopTest, EnvForcesPollBackend) {
   setenv("THALI_NET_POLL", "1", 1);
   auto loop = EventLoop::Create();
@@ -239,6 +262,44 @@ TEST_F(NetServerTest, PingRoundTrips) {
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   EXPECT_TRUE(client->Ping().ok());
   EXPECT_EQ(server_->counters().pings.load(), 1);
+}
+
+// Two PINGs arriving in one recv: the second frame sits buffered after
+// the first is answered, and must be dispatched on the next busy tick
+// rather than after the 50 ms idle sleep. The best of a few rounds keeps
+// scheduler noise out of the bound.
+TEST_F(NetServerTest, PipelinedPingsAnsweredWithoutIdleStall) {
+  StartServer();
+  auto fd = ConnectLoopback(server_->port());
+  ASSERT_TRUE(fd.ok());
+  std::vector<uint8_t> two = EncodeFrame(Op::kPing, {{1}});
+  const std::vector<uint8_t> second = EncodeFrame(Op::kPing, {{2}});
+  two.insert(two.end(), second.begin(), second.end());
+
+  double best_ms = 1e9;
+  for (int round = 0; round < 5; ++round) {
+    const auto t0 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(SendAll(*fd, two.data(), two.size()).ok());
+    for (int reply = 0; reply < 2; ++reply) {
+      uint8_t header_bytes[kHeaderBytes];
+      ASSERT_TRUE(RecvAll(*fd, header_bytes, kHeaderBytes).ok());
+      FrameHeader header;
+      ASSERT_TRUE(
+          ParseHeader(std::span<const uint8_t>(header_bytes, kHeaderBytes),
+                      &header)
+              .ok());
+      EXPECT_EQ(header.op, static_cast<uint16_t>(Op::kPing));
+      std::vector<uint8_t> payload(header.payload_len);
+      ASSERT_TRUE(RecvAll(*fd, payload.data(), payload.size()).ok());
+    }
+    best_ms = std::min(
+        best_ms, std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count());
+  }
+  CloseFd(*fd);
+  EXPECT_EQ(server_->counters().pings.load(), 10);
+  EXPECT_LT(best_ms, 25.0);
 }
 
 // The acceptance pin: detections served over the socket are bitwise

@@ -36,7 +36,6 @@ class ParallelTest : public ::testing::Test {
  protected:
   void TearDown() override {
     SetMaxParallelism(1);
-    internal::SetGemmPackingForTesting(-1);
     internal::SetFusionForTesting(-1);
     internal::SetInt8ForTesting(-1);
     internal::SetInt8GemmKernelForTesting(nullptr);
@@ -213,8 +212,8 @@ TEST_F(ParallelTest, GemmBitwiseIdenticalAcrossThreadCounts) {
 
 TEST_F(ParallelTest, PackedGemmBitwiseIdenticalAcrossThreadsAndPaths) {
   // Sizes straddle every cache block (MC=120, NC=512, KC=256). The packed
-  // driver at any thread count, and the THALI_NO_PACK reference path,
-  // must all match the sequential oracle bitwise.
+  // driver at any thread count must match the sequential unpacked oracle
+  // bitwise.
   const int64_t m = 131, n = 531, kk = 307;
   const auto a = RandomVec(m * kk, 21), b = RandomVec(kk * n, 22);
   const auto c0 = RandomVec(m * n, 23);
@@ -223,33 +222,34 @@ TEST_F(ParallelTest, PackedGemmBitwiseIdenticalAcrossThreadsAndPaths) {
   internal::GemmReference(false, false, m, n, kk, 1.0f, a.data(), kk,
                           b.data(), n, 0.5f, c_ref.data(), n);
 
-  for (const int packing : {1, 0}) {
-    internal::SetGemmPackingForTesting(packing);
-    for (const int threads : {1, 2, 4}) {
-      SetMaxParallelism(threads);
-      std::vector<float> c = c0;
-      Gemm(false, false, m, n, kk, 1.0f, a.data(), kk, b.data(), n, 0.5f,
-           c.data(), n);
-      EXPECT_EQ(std::memcmp(c.data(), c_ref.data(), c.size() * sizeof(float)),
-                0)
-          << "packing=" << packing << " threads=" << threads;
-    }
+  for (const int threads : {1, 2, 4}) {
+    SetMaxParallelism(threads);
+    std::vector<float> c = c0;
+    Gemm(false, false, m, n, kk, 1.0f, a.data(), kk, b.data(), n, 0.5f,
+         c.data(), n);
+    EXPECT_EQ(std::memcmp(c.data(), c_ref.data(), c.size() * sizeof(float)),
+              0)
+        << "threads=" << threads;
   }
-  internal::SetGemmPackingForTesting(-1);
 }
 
-// Full yolov4-thali inference forward; returns the detection-head
+// Full yolov4-thali forward (train=false); returns the detection-head
 // activations flattened for bitwise comparison. `fold_bn` folds batch
-// norm into weights/biases first, which routes every conv through the
-// fused bias+activation GEMM epilogue when packing is on.
-std::vector<float> ThaliInferenceForward(int threads, bool packing,
-                                         bool fold_bn) {
+// norm into weights/biases first, which routes every inference conv
+// through the fused bias+activation GEMM epilogue; a kTraining network
+// runs the same folded convs as a plain Gemm followed by the staged
+// bias and activation passes. `fuse` is the SetFusionForTesting value
+// the network is built under (-1: environment default).
+std::vector<float> ThaliInferenceForward(
+    int threads, bool fold_bn, ExecMode mode = ExecMode::kInference,
+    int fuse = -1) {
   SetMaxParallelism(threads);
-  internal::SetGemmPackingForTesting(packing ? 1 : 0);
   YoloThaliOptions yo;
   Rng rng(4242);
+  internal::SetFusionForTesting(fuse);
   auto built = BuildNetworkFromCfg(YoloThaliCfg(yo), /*batch_override=*/1,
-                                   rng, ExecMode::kInference);
+                                   rng, mode);
+  internal::SetFusionForTesting(-1);
   THALI_CHECK_OK(built.status());
   Network& net = *built->net;
   if (fold_bn) {
@@ -268,42 +268,47 @@ std::vector<float> ThaliInferenceForward(int threads, bool packing,
     const Tensor& out = head->output();
     flat.insert(flat.end(), out.data(), out.data() + out.size());
   }
-  internal::SetGemmPackingForTesting(-1);
   return flat;
 }
 
-TEST_F(ParallelTest, ThaliInferenceBitwiseIdenticalAcrossThreadsAndPacking) {
-  const std::vector<float> base = ThaliInferenceForward(1, true, false);
+TEST_F(ParallelTest, ThaliInferenceBitwiseIdenticalAcrossThreads) {
+  const std::vector<float> base = ThaliInferenceForward(1, false);
   ASSERT_FALSE(base.empty());
-  for (const bool packing : {true, false}) {
-    for (const int threads : {1, 2, 4}) {
-      if (packing && threads == 1) continue;  // that's `base`
-      const std::vector<float> got =
-          ThaliInferenceForward(threads, packing, false);
-      ASSERT_EQ(got.size(), base.size());
-      EXPECT_EQ(
-          std::memcmp(got.data(), base.data(), got.size() * sizeof(float)), 0)
-          << "packing=" << packing << " threads=" << threads;
-    }
+  for (const int threads : {2, 4}) {
+    const std::vector<float> got = ThaliInferenceForward(threads, false);
+    ASSERT_EQ(got.size(), base.size());
+    EXPECT_EQ(
+        std::memcmp(got.data(), base.data(), got.size() * sizeof(float)), 0)
+        << "threads=" << threads;
   }
 }
 
 TEST_F(ParallelTest, FoldedThaliInferenceBitwiseIdenticalWithFusedEpilogue) {
   // Folded batch norm makes every conv eligible for the fused
-  // bias+activation write-back; packed (fused) and no-pack (staged
-  // passes) runs must still agree bitwise at every thread count.
-  const std::vector<float> base = ThaliInferenceForward(1, true, true);
-  ASSERT_FALSE(base.empty());
-  for (const bool packing : {true, false}) {
-    for (const int threads : {1, 4}) {
-      if (packing && threads == 1) continue;
-      const std::vector<float> got =
-          ThaliInferenceForward(threads, packing, true);
-      ASSERT_EQ(got.size(), base.size());
-      EXPECT_EQ(
-          std::memcmp(got.data(), base.data(), got.size() * sizeof(float)), 0)
-          << "packing=" << packing << " threads=" << threads;
-    }
+  // bias+activation write-back. The fused plan must agree with itself
+  // bitwise at every thread count...
+  const std::vector<float> fused = ThaliInferenceForward(1, true);
+  ASSERT_FALSE(fused.empty());
+  const std::vector<float> fused4 = ThaliInferenceForward(4, true);
+  ASSERT_EQ(fused4.size(), fused.size());
+  EXPECT_EQ(
+      std::memcmp(fused4.data(), fused.data(), fused.size() * sizeof(float)),
+      0)
+      << "fused plan, 4 threads";
+  // ...and on the reference plan (same convs and activations as a
+  // training network), the prepacked GEMM with the fused epilogue must
+  // equal a training network's plain Gemm plus staged bias/activation
+  // passes bit for bit.
+  const std::vector<float> epilogue =
+      ThaliInferenceForward(1, true, ExecMode::kInference, /*fuse=*/0);
+  for (const int threads : {1, 4}) {
+    const std::vector<float> staged =
+        ThaliInferenceForward(threads, true, ExecMode::kTraining);
+    ASSERT_EQ(staged.size(), epilogue.size());
+    EXPECT_EQ(std::memcmp(staged.data(), epilogue.data(),
+                          staged.size() * sizeof(float)),
+              0)
+        << "staged passes, threads=" << threads;
   }
 }
 
@@ -413,12 +418,12 @@ TEST_F(ParallelTest, Int8UnderNoFuseIsBitwiseFp32) {
 // drifting kernel is pinned to its layer, and every one of the model's
 // distinct (C,F,k,s,HxW) conv geometries gets exercised. Batch 1, where
 // CNHW and NCHW coincide bitwise, so outputs compare element for
-// element without a gather. THALI_NO_ARENA keeps every layer's output
-// in its own buffer — under the arena, early outputs are clobbered by
-// later layers before the post-forward comparison could read them.
+// element without a gather. Both networks are stepped layer by layer and
+// each conv output is compared right after that layer runs — the arena
+// reuses an early layer's storage for later layers, so a post-forward
+// comparison would read clobbered values.
 TEST_F(ParallelTest, FusedConvSweepMatchesReferencePlanPerLayer) {
   SetMaxParallelism(4);
-  ASSERT_EQ(setenv("THALI_NO_ARENA", "1", 1), 0);
   auto build = [](int fuse) {
     internal::SetFusionForTesting(fuse);
     Rng rng(4242);
@@ -431,20 +436,23 @@ TEST_F(ParallelTest, FusedConvSweepMatchesReferencePlanPerLayer) {
   };
   BuiltNetwork ref = build(0);
   BuiltNetwork fused = build(1);
-  ASSERT_EQ(unsetenv("THALI_NO_ARENA"), 0);
   ASSERT_FALSE(ref.net->exec_plan().fused);
   ASSERT_TRUE(fused.net->exec_plan().fused);
-  ASSERT_FALSE(fused.net->arena_plan().enabled);
 
   Tensor input(ref.net->input_shape());
   Rng irng(17);
   for (int64_t i = 0; i < input.size(); ++i) input[i] = irng.NextGaussian();
-  ref.net->Forward(input, /*train=*/false);
   Tensor input2 = input;  // fused net must not depend on shared storage
-  fused.net->Forward(input2, /*train=*/false);
 
+  // Network::Forward's layer loop, one layer at a time on both networks.
+  const Tensor* ref_x = &input;
+  const Tensor* fused_x = &input2;
   std::set<std::string> shapes;
   for (int li = 0; li < ref.net->num_layers(); ++li) {
+    ref.net->layer(li).Forward(*ref_x, *ref.net, /*train=*/false);
+    fused.net->layer(li).Forward(*fused_x, *fused.net, /*train=*/false);
+    ref_x = &ref.net->layer(li).output();
+    fused_x = &fused.net->layer(li).output();
     if (std::string_view(ref.net->layer(li).kind()) != "convolutional") {
       continue;
     }

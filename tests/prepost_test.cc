@@ -1,9 +1,9 @@
-// Tests for the pre/post-processing fast paths (PR "close the batch-1
-// tail"): table-driven letterbox parity against the seed resize, the
-// fused letterbox+quantize byte contract, the CollectAtLeast objectness
-// pre-filter family conformance, exact equivalence of the raw-logit
-// YOLO decode and the bucketed NMS against their references, and the
-// end-to-end Detect pin across the THALI_NO_FASTPRE toggle.
+// Tests for the pre/post-processing fast paths: table-driven letterbox
+// parity against the seed resize, the fused letterbox+quantize byte
+// contract, the CollectAtLeast objectness pre-filter family conformance,
+// exact equivalence of the raw-logit YOLO decode and the bucketed NMS
+// against their references, and end-to-end Detect pins against a
+// reference pipeline assembled from the seed oracles.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "base/cpu_features.h"
-#include "base/fastpre.h"
 #include "base/rng.h"
 #include "base/thread_pool.h"
 #include "core/detector.h"
@@ -36,12 +35,11 @@ namespace thali {
 namespace {
 
 // Restores every global knob a test may flip so a failure cannot leak a
-// forced kernel family or fast-path override into later tests.
+// forced kernel family into later tests.
 class PrepostTest : public ::testing::Test {
  protected:
   void TearDown() override {
     SetMaxParallelism(1);
-    internal::SetFastPreForTesting(-1);
     internal::SetResizeKernelForTesting(nullptr);
     internal::SetActKernelForTesting(nullptr);
     internal::SetInt8ForTesting(-1);
@@ -108,10 +106,10 @@ TEST_F(PrepostTest, FastNmsMatchesReferenceOnClusteredBoxes) {
       for (float thr : {0.3f, 0.45f, 0.6f}) {
         const std::vector<Detection> dets =
             MakeClusteredDets(rng, n, /*classes=*/4, /*tie_confs=*/false);
-        ExpectBitwiseEqual(internal::NmsFast(dets, thr, /*class_aware=*/true),
+        ExpectBitwiseEqual(Nms(dets, thr),
                            internal::NmsReference(dets, thr, true),
                            "class-aware");
-        ExpectBitwiseEqual(internal::NmsFast(dets, thr, /*class_aware=*/false),
+        ExpectBitwiseEqual(NmsClassAgnostic(dets, thr),
                            internal::NmsReference(dets, thr, false),
                            "class-agnostic");
       }
@@ -125,24 +123,14 @@ TEST_F(PrepostTest, FastNmsMatchesReferenceUnderConfidenceTies) {
     const std::vector<Detection> dets =
         MakeClusteredDets(rng, 120, /*classes=*/3, /*tie_confs=*/true);
     for (float thr : {0.2f, 0.45f, 0.9f}) {
-      ExpectBitwiseEqual(internal::NmsFast(dets, thr, true),
+      ExpectBitwiseEqual(Nms(dets, thr),
                          internal::NmsReference(dets, thr, true),
                          "tied class-aware");
-      ExpectBitwiseEqual(internal::NmsFast(dets, thr, false),
+      ExpectBitwiseEqual(NmsClassAgnostic(dets, thr),
                          internal::NmsReference(dets, thr, false),
                          "tied class-agnostic");
     }
   }
-}
-
-TEST_F(PrepostTest, NmsDispatchHonorsFastPreToggle) {
-  Rng rng(42);
-  const std::vector<Detection> dets = MakeClusteredDets(rng, 80, 4, false);
-  internal::SetFastPreForTesting(0);
-  const std::vector<Detection> ref = Nms(dets, 0.45f);
-  internal::SetFastPreForTesting(1);
-  const std::vector<Detection> fast = Nms(dets, 0.45f);
-  ExpectBitwiseEqual(fast, ref, "dispatch");
 }
 
 TEST_F(PrepostTest, CollectAtLeastKeepsExactSemanticsIncludingNaN) {
@@ -188,7 +176,7 @@ TEST_F(PrepostTest, ScalarLetterboxIsBitwiseIdenticalToSeedReference) {
   internal::SetResizeKernelForTesting("scalar");
   for (auto [w, h] : {std::pair{123, 77}, {200, 200}, {31, 190}, {97, 95}}) {
     const Image src = RandomImage(static_cast<uint64_t>(w * 1000 + h), w, h);
-    const Letterbox ref = LetterboxImage(src, 96, 96);
+    const Letterbox ref = internal::LetterboxReference(src, 96, 96);
     std::vector<float> dst(3 * 96 * 96, -1.0f);
     const LetterboxGeometry g = LetterboxIntoPlanes(src, 96, 96, dst.data());
     EXPECT_EQ(Bits(g.scale), Bits(ref.scale));
@@ -199,6 +187,14 @@ TEST_F(PrepostTest, ScalarLetterboxIsBitwiseIdenticalToSeedReference) {
                           dst.size() * sizeof(float)),
               0)
         << w << "x" << h;
+    // The public entry points run the same table-driven kernels.
+    const Image fast = Resize(src, 57, 41);
+    const Image seed = internal::ResizeReference(src, 57, 41);
+    ASSERT_EQ(fast.size(), seed.size());
+    EXPECT_EQ(std::memcmp(fast.data(), seed.data(),
+                          static_cast<size_t>(fast.size()) * sizeof(float)),
+              0)
+        << "Resize " << w << "x" << h;
   }
 }
 
@@ -240,10 +236,10 @@ TEST_F(PrepostTest, FusedQuantizeEmitsExactlyTheQuantizedLetterbox) {
 }
 
 TEST_F(PrepostTest, ReferenceLetterboxPadsExactlyGreyAroundContent) {
-  // Satellite fix pin: LetterboxImage fills only the pad bands, so every
-  // pad pixel is exactly 0.5 and content pixels come from the resize.
+  // The reference letterbox fills only the pad bands, so every pad pixel
+  // is exactly 0.5 and content pixels come from the resize.
   const Image src = RandomImage(11, 50, 200);
-  const Letterbox lb = LetterboxImage(src, 96, 96);
+  const Letterbox lb = internal::LetterboxReference(src, 96, 96);
   ASSERT_GT(lb.pad_x, 0);
   for (int c = 0; c < 3; ++c) {
     for (int y = 0; y < 96; ++y) {
@@ -274,7 +270,6 @@ TEST_F(PrepostTest, RawDecodeMatchesReferenceDecodeOnRealHeadTensors) {
   Rng irng(17);
   for (int64_t i = 0; i < input.size(); ++i) input[i] = irng.NextGaussian();
 
-  internal::SetFastPreForTesting(1);
   built.net->Forward(input, /*train=*/false);
   ASSERT_FALSE(built.yolo_layers.empty());
   // Capture the fast decode at several thresholds, including the two
@@ -294,7 +289,8 @@ TEST_F(PrepostTest, RawDecodeMatchesReferenceDecodeOnRealHeadTensors) {
   std::memcpy(raw_head.data(), built.yolo_layers[0]->output().data(),
               raw_head.size() * sizeof(float));
 
-  internal::SetFastPreForTesting(0);
+  // Reference decode: the heads activate their planes in Forward.
+  built.net->set_defer_head_activation(false);
   built.net->Forward(input, /*train=*/false);
   EXPECT_NE(std::memcmp(raw_head.data(),
                         built.yolo_layers[0]->output().data(),
@@ -313,16 +309,55 @@ TEST_F(PrepostTest, RawDecodeMatchesReferenceDecodeOnRealHeadTensors) {
   EXPECT_GT(nonempty, 0) << "decode comparison was vacuous";
 }
 
+// The seed detection pipeline end to end, assembled from the reference
+// oracles: seed letterbox into an fp32 input tensor (a plan that chains
+// the network input quantizes it inside Network::Forward), activated
+// head planes through the reference decode, seed all-pairs NMS, and the
+// detector's mapping of boxes back into the image frame. `det` must be
+// at batch 1.
+std::vector<Detection> ReferenceDetect(Detector& det, const Image& img,
+                                       float conf, float nms) {
+  Network& net = det.network();
+  const int nw = net.input_width();
+  const int nh = net.input_height();
+  const Letterbox lb = internal::LetterboxReference(img, nw, nh);
+  Tensor input(net.input_shape());
+  THALI_CHECK_EQ(lb.image.size(), input.size());
+  std::memcpy(input.data(), lb.image.data(),
+              static_cast<size_t>(input.size()) * sizeof(float));
+  net.set_defer_head_activation(false);
+  net.Forward(input, /*train=*/false);
+  net.set_defer_head_activation(true);
+  std::vector<Detection> all;
+  for (int i = 0; i < net.num_layers(); ++i) {
+    if (std::string_view(net.layer(i).kind()) != "yolo") continue;
+    const std::vector<Detection> dets =
+        static_cast<YoloLayer&>(net.layer(i)).GetDetections(0, conf, nw, nh);
+    all.insert(all.end(), dets.begin(), dets.end());
+  }
+  std::vector<Detection> kept =
+      internal::NmsReference(std::move(all), nms, /*class_aware=*/true);
+  for (Detection& d : kept) {
+    const float px = d.box.x * nw - lb.pad_x;
+    const float py = d.box.y * nh - lb.pad_y;
+    d.box.x = px / lb.scale / img.width();
+    d.box.y = py / lb.scale / img.height();
+    d.box.w = d.box.w * nw / lb.scale / img.width();
+    d.box.h = d.box.h * nh / lb.scale / img.height();
+  }
+  return kept;
+}
+
+// Detect's fast pre/post pipeline against the seed pipeline, bit for bit
+// (scalar resize family, which is bitwise identical to the seed resize).
 TEST_F(PrepostTest, DetectIsBitwiseStableAcrossFastPreWithScalarResize) {
   internal::SetResizeKernelForTesting("scalar");
   auto det = Detector::FromCfg(YoloThaliCfg(YoloThaliOptions{}));
   THALI_CHECK_OK(det.status());
   const Image img = RandomImage(3, 160, 120);
 
-  internal::SetFastPreForTesting(1);
   const std::vector<Detection> fast = det->Detect(img, 0.1f, 0.45f);
-  internal::SetFastPreForTesting(0);
-  const std::vector<Detection> ref = det->Detect(img, 0.1f, 0.45f);
+  const std::vector<Detection> ref = ReferenceDetect(*det, img, 0.1f, 0.45f);
   EXPECT_FALSE(ref.empty()) << "pipeline comparison was vacuous";
   ExpectBitwiseEqual(fast, ref, "detect");
 
@@ -365,12 +400,10 @@ TEST_F(PrepostTest, FusedQuantizedInputDetectMatchesFp32QuantizeRoute) {
 
   const Image img = RandomImage(5, 130, 100);
   // Fast route: fused letterbox-quantize stages the u8 input directly.
-  internal::SetFastPreForTesting(1);
   const std::vector<Detection> fused = det->Detect(img, 0.1f, 0.45f);
-  // Reference route: seed letterbox into fp32 staging, quantized inside
+  // Reference route: seed letterbox into an fp32 input, quantized inside
   // Network::Forward by the same shared quantizer.
-  internal::SetFastPreForTesting(0);
-  const std::vector<Detection> ref = det->Detect(img, 0.1f, 0.45f);
+  const std::vector<Detection> ref = ReferenceDetect(*det, img, 0.1f, 0.45f);
   EXPECT_FALSE(ref.empty()) << "fused-input comparison was vacuous";
   ExpectBitwiseEqual(fused, ref, "fused quantized input");
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "base/rng.h"
@@ -79,11 +80,17 @@ void NaiveGemm(bool ta, bool tb, int m, int n, int k, float alpha,
   }
 }
 
+// GoogleTest names a parameter without a printer by its raw bytes, so
+// the two bytes after the flags are an explicit field rather than
+// padding: uninitialised padding made the registered test names change
+// with unrelated code. Each case pins the value its name has carried.
 struct GemmCase {
   bool ta, tb;
+  uint16_t name_tag;
   int m, n, k;
   float alpha, beta;
 };
+static_assert(sizeof(GemmCase) == 24, "GemmCase bytes name the test cases");
 
 class GemmSweep : public ::testing::TestWithParam<GemmCase> {};
 
@@ -115,16 +122,16 @@ TEST_P(GemmSweep, MatchesNaive) {
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, GemmSweep,
-    ::testing::Values(GemmCase{false, false, 1, 1, 1, 1.0f, 0.0f},
-                      GemmCase{false, false, 7, 9, 5, 1.0f, 0.0f},
-                      GemmCase{false, false, 16, 33, 64, 0.5f, 1.0f},
-                      GemmCase{false, false, 65, 130, 129, 1.0f, 0.0f},
-                      GemmCase{true, false, 8, 12, 6, 1.0f, 1.0f},
-                      GemmCase{true, false, 31, 17, 23, 2.0f, 0.0f},
-                      GemmCase{false, true, 9, 11, 13, 1.0f, 0.0f},
-                      GemmCase{false, true, 24, 48, 36, 1.0f, 0.5f},
-                      GemmCase{true, true, 5, 6, 7, 1.0f, 0.0f},
-                      GemmCase{false, false, 3, 128, 200, 1.0f, 2.0f}));
+    ::testing::Values(GemmCase{false, false, 0x0000, 1, 1, 1, 1.0f, 0.0f},
+                      GemmCase{false, false, 0x0000, 7, 9, 5, 1.0f, 0.0f},
+                      GemmCase{false, false, 0x0000, 16, 33, 64, 0.5f, 1.0f},
+                      GemmCase{false, false, 0x7473, 65, 130, 129, 1.0f, 0.0f},
+                      GemmCase{true, false, 0x0000, 8, 12, 6, 1.0f, 1.0f},
+                      GemmCase{true, false, 0x0000, 31, 17, 23, 2.0f, 0.0f},
+                      GemmCase{false, true, 0x0048, 9, 11, 13, 1.0f, 0.0f},
+                      GemmCase{false, true, 0x0000, 24, 48, 36, 1.0f, 0.5f},
+                      GemmCase{true, true, 0x1B01, 5, 6, 7, 1.0f, 0.0f},
+                      GemmCase{false, false, 0x0055, 3, 128, 200, 1.0f, 2.0f}));
 
 TEST(Gemm, ZeroSizedDimensionsAreNoops) {
   float c[4] = {1, 2, 3, 4};
