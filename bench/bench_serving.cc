@@ -8,7 +8,10 @@
 // (max_batch_size >= 4) beat batch-1 serving throughput once offered
 // concurrency reaches 4? Batching amortizes per-forward fixed costs
 // (batch re-planning, im2col setup, per-call dispatch) across requests,
-// at a bounded latency cost governed by max_linger.
+// at a bounded latency cost governed by max_linger. Every configuration
+// runs one worker: batching is work-conserving (a worker ends its linger
+// early once a peer worker is idle), and a lone worker has no peer, so
+// each underfull batch here waits out the full max_linger.
 //
 // Uses randomly initialized weights (inference cost is independent of
 // weight values), so this bench never needs the trained-model cache.

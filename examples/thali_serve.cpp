@@ -81,7 +81,7 @@ int main() {
   THALI_CHECK(server_or.ok()) << server_or.status().ToString();
   serve::Server& server = **server_or;
   std::printf("Server up: %d workers, queue capacity %d, max batch %d, "
-              "linger %lldus\n",
+              "max linger %lldus\n",
               server.num_workers(), opts.queue_capacity, opts.max_batch_size,
               static_cast<long long>(opts.max_linger.count()));
 

@@ -40,6 +40,13 @@ echo "== net smoke: THL1 protocol + loopback end-to-end suite =="
 # and the socket-path ≡ in-process bitwise pin (tests/net).
 ctest --test-dir build --output-on-failure -j "${JOBS}" -L net_smoke
 
+echo "== serve smoke: queue, micro-batcher and in-process server suite =="
+# Lane-queue backpressure and drain, the work-conserving linger (ends
+# once a peer worker is idle; a lone worker still folds stragglers),
+# deadline expiry, exactly-once completion under stress, and served ≡
+# direct DetectBatch bitwise (tests/serve).
+ctest --test-dir build --output-on-failure -j "${JOBS}" -L serve_smoke
+
 echo "== prepost smoke: pre/post fast-path parity suite =="
 # Letterbox bitwise pin (scalar family), fused letterbox-quantize byte
 # contract, raw-decode and fast-NMS exact-equivalence pins, and the

@@ -53,7 +53,9 @@ bool Batcher::NextBatch(std::vector<RequestPtr>* batch) {
     const ServeClock::time_point now = ServeClock::now();
     if (now >= linger_end) break;
     RequestPtr next;
-    if (!queue_->PopWait(&next, linger_end - now)) break;  // timeout or drained
+    // Ends on timeout, on a drained closed queue, or when the queue is
+    // empty and a peer worker is idle to take the next request.
+    if (!queue_->PopWait(&next, linger_end - now)) break;
     if (ExpireIfLate(&next, ServeClock::now())) continue;
     metrics_->queue_wait_ms.Record(
         ToMs(ServeClock::now() - next->submit_time));

@@ -11,7 +11,6 @@
 #include "image/image.h"
 #include "serve/lane_queue.h"
 #include "serve/metrics.h"
-#include "serve/queue.h"
 
 namespace thali {
 namespace serve {
@@ -33,15 +32,19 @@ struct Request {
 
 using RequestPtr = std::unique_ptr<Request>;
 // Two bounded lanes (interactive / batch); plain Submit lands on the
-// interactive lane, so single-class callers see BoundedQueue semantics.
+// interactive lane, so single-class callers see one bounded FIFO.
 using RequestQueue = LaneQueue<RequestPtr>;
 
 // Dynamic micro-batcher: pulls requests off a shared queue and groups them
-// into batches of at most `max_batch_size`, waiting up to `max_linger`
-// after the first request for stragglers — whichever limit trips first
-// closes the batch. Requests whose deadline already passed are completed
-// with kDeadlineExceeded at pop time and never occupy a batch slot, so an
-// expired request costs no network time.
+// into batches of at most `max_batch_size`. After the first request it
+// waits up to `max_linger` for stragglers, but only while every other
+// consumer of the queue is busy: once the queue is empty and a peer is
+// idle in Pop, that peer would serve the next request at once, so the
+// batch closes immediately (work-conserving). A lone worker has no peer,
+// so its underfull batches wait out the whole linger. Requests whose
+// deadline already passed are completed with kDeadlineExceeded at pop time
+// and never occupy a batch slot, so an expired request costs no network
+// time.
 //
 // Stateless between batches: several workers may run NextBatch on the same
 // queue concurrently, each forming its own batches (the queue is the only
@@ -50,6 +53,8 @@ class Batcher {
  public:
   struct Options {
     int max_batch_size = 8;
+    // Upper bound on the straggler wait; reached only while no peer
+    // worker is idle.
     std::chrono::microseconds max_linger{2000};
   };
 
@@ -59,8 +64,11 @@ class Batcher {
   Batcher(RequestQueue* queue, Options options, ServerMetrics* metrics);
 
   // Blocks until it can return a non-empty batch (true) or the queue is
-  // closed and fully drained (false). On a closed queue the linger wait is
-  // skipped: whatever is left drains in max_batch_size groups immediately.
+  // closed and fully drained (false). The batch closes when it is full,
+  // when `max_linger` has passed since its first request, or when the
+  // queue is empty while a peer is idle. On a closed queue the linger
+  // wait is skipped: whatever is left drains in max_batch_size groups
+  // immediately.
   bool NextBatch(std::vector<RequestPtr>* batch);
 
   const Options& options() const { return options_; }

@@ -27,7 +27,7 @@ inline const char* PriorityName(Priority p) {
 // priority class, drained through a single consumer interface. Producers
 // never block (TryPush returns kResourceExhausted when the target lane is
 // full); consumers block until either lane has an item or the queue is
-// closed, exactly like BoundedQueue.
+// closed.
 //
 // Pop order is strict priority — interactive first — with a bounded
 // anti-starvation concession: every kBatchPreferEvery-th pop services the
@@ -36,8 +36,13 @@ inline const char* PriorityName(Priority p) {
 // fairness, is the main batch-lane control under overload — see
 // Server::Options::admission.)
 //
-// Close() keeps BoundedQueue's drain-on-shutdown contract: pushes are
-// rejected, consumers drain both lanes, then Pop reports closure.
+// The queue counts the consumers blocked in Pop — the idle ones. PopWait
+// is the straggler wait of a consumer that already holds work (the
+// micro-batcher's linger): it gives up as soon as the queue is empty while
+// a peer is idle, because that peer would serve the next item at once.
+//
+// Close() is the shutdown edge: pushes are rejected, consumers drain both
+// lanes, then Pop reports closure.
 template <typename T>
 class LaneQueue {
  public:
@@ -71,17 +76,26 @@ class LaneQueue {
 
   // Blocks until an item is available in either lane (sets *out, returns
   // true) or the queue is closed and both lanes drained (returns false).
+  // While blocked the caller counts as idle, and becoming idle wakes any
+  // consumer in PopWait so it stops waiting on this one's behalf.
   bool Pop(T* out) {
     std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] { return closed_ || !EmptyLocked(); });
+    if (!closed_ && EmptyLocked()) {
+      ++idle_;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return closed_ || !EmptyLocked(); });
+      --idle_;
+    }
     return PopLocked(out);
   }
 
-  // As Pop, but gives up after `timeout` (returns false). A zero timeout
-  // makes this a non-blocking poll.
+  // As Pop, but gives up (returns false) after `timeout`, or as soon as
+  // both lanes are empty while another consumer is idle in Pop. A zero
+  // timeout makes this a non-blocking poll.
   bool PopWait(T* out, std::chrono::nanoseconds timeout) {
     std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait_for(lock, timeout, [this] { return closed_ || !EmptyLocked(); });
+    cv_.wait_for(lock, timeout,
+                 [this] { return closed_ || !EmptyLocked() || idle_ > 0; });
     return PopLocked(out);
   }
 
@@ -100,8 +114,9 @@ class LaneQueue {
     return closed_;
   }
 
-  // Instantaneous depth of one lane / both lanes (snapshot semantics, as
-  // BoundedQueue::Depth).
+  // Instantaneous depth of one lane / both lanes. The result is a
+  // snapshot: it may be stale by the time the caller acts on it, which
+  // admission shedding tolerates (policies are heuristics, not invariants).
   size_t Depth(Priority lane) const {
     std::lock_guard<std::mutex> lock(mu_);
     return lanes_[static_cast<size_t>(lane)].size();
@@ -136,6 +151,7 @@ class LaneQueue {
   std::array<std::deque<T>, kNumLanes> lanes_;
   bool closed_ = false;
   uint64_t pops_ = 0;  // guarded by mu_
+  int idle_ = 0;       // consumers blocked in Pop; guarded by mu_
 };
 
 }  // namespace serve

@@ -15,7 +15,6 @@
 #include "core/detector.h"
 #include "serve/batcher.h"
 #include "serve/metrics.h"
-#include "serve/queue.h"
 
 namespace thali {
 namespace serve {
@@ -23,12 +22,14 @@ namespace serve {
 // In-process inference server: turns concurrent single-image Submit calls
 // into dynamic micro-batches executed by a pool of Detector workers.
 //
-//   caller ──Submit──▶ bounded queue ──Batcher──▶ worker × Detector
-//                        (backpressure)  (linger/size)   (DetectBatch)
+//   caller ──Submit──▶ LaneQueue ──Batcher──▶ worker × Detector
+//                    (backpressure) (size/linger) (DetectBatch)
 //
 // Each worker owns a private Detector (the Detector thread-safety contract
 // admits one caller per instance), so workers batch and run independently;
-// the queue is the only cross-thread hand-off. Submit never blocks: a full
+// the queue is the only cross-thread hand-off. Batching is work-conserving:
+// a worker lingers for stragglers only while no other worker is idle, so
+// with a free worker a lone request is never held back. Submit never blocks: a full
 // queue is an immediate kResourceExhausted, and requests carry optional
 // deadlines that expire while queued without costing network time.
 // Shutdown (also run by the destructor) closes the queue, drains every
@@ -64,7 +65,10 @@ class Server {
     // Capacity of the batch-priority lane; -1 mirrors queue_capacity.
     int batch_queue_capacity = -1;
     int max_batch_size = 8;
-    // How long a worker holds an underfull batch open for stragglers.
+    // Longest a worker holds an underfull batch open for stragglers. The
+    // wait ends early once the queue is empty and another worker is idle
+    // (that worker serves the next request), so the full linger is paid
+    // only while every other worker is busy, or with num_workers == 1.
     std::chrono::microseconds max_linger{2000};
     // Applied by Submit(image); zero means requests never expire.
     std::chrono::milliseconds default_deadline{0};

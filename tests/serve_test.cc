@@ -1,5 +1,6 @@
 // Tests for the in-process serving subsystem (src/serve): bounded-queue
-// backpressure, micro-batch formation (linger vs full batch), deadline
+// backpressure, micro-batch formation (linger vs full batch, and the
+// work-conserving rule that ends a linger once a peer is idle), deadline
 // expiry while queued, drain-on-shutdown, metrics accounting, and bitwise
 // identity between served results and direct DetectBatch calls. The
 // threaded tests carry the tsan_smoke/serve_smoke labels and run under
@@ -10,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -21,7 +23,6 @@
 #include "data/renderer.h"
 #include "serve/batcher.h"
 #include "serve/metrics.h"
-#include "serve/queue.h"
 #include "serve/server.h"
 
 namespace thali {
@@ -79,14 +80,16 @@ void ExpectSameDetections(const std::vector<Detection>& a,
 }
 
 // ---------------------------------------------------------------- queue --
+// Single-class use of LaneQueue: every push lands on the interactive lane,
+// which behaves as one bounded FIFO.
 
 TEST(BoundedQueueTest, FifoOrderAndBackpressure) {
-  BoundedQueue<int> q(2);
+  LaneQueue<int> q(2);
   EXPECT_TRUE(q.TryPush(1).ok());
   EXPECT_TRUE(q.TryPush(2).ok());
   Status full = q.TryPush(3);
   EXPECT_EQ(full.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.Depth(), 2u);
 
   int v = 0;
   EXPECT_TRUE(q.Pop(&v));
@@ -99,7 +102,7 @@ TEST(BoundedQueueTest, FifoOrderAndBackpressure) {
 }
 
 TEST(BoundedQueueTest, CloseDrainsRemainingItemsThenReportsClosed) {
-  BoundedQueue<int> q(4);
+  LaneQueue<int> q(4);
   EXPECT_TRUE(q.TryPush(10).ok());
   EXPECT_TRUE(q.TryPush(20).ok());
   q.Close();
@@ -114,7 +117,7 @@ TEST(BoundedQueueTest, CloseDrainsRemainingItemsThenReportsClosed) {
 }
 
 TEST(BoundedQueueTest, CloseUnblocksWaitingConsumers) {
-  BoundedQueue<int> q(1);
+  LaneQueue<int> q(1);
   std::atomic<int> woke{0};
   std::vector<std::thread> consumers;
   for (int i = 0; i < 3; ++i) {
@@ -131,7 +134,7 @@ TEST(BoundedQueueTest, CloseUnblocksWaitingConsumers) {
 }
 
 TEST(BoundedQueueTest, PopWaitTimesOutOnEmptyOpenQueue) {
-  BoundedQueue<int> q(1);
+  LaneQueue<int> q(1);
   int v = 0;
   EXPECT_FALSE(q.PopWait(&v, milliseconds(5)));
   EXPECT_FALSE(q.closed());
@@ -141,8 +144,8 @@ TEST(BoundedQueueTest, PopWaitTimesOutOnEmptyOpenQueue) {
 // see values inside [0, capacity] (snapshot semantics, no torn state).
 TEST(BoundedQueueTest, DepthStaysWithinCapacityUnderConcurrentTraffic) {
   constexpr int kPerProducer = 400;
-  BoundedQueue<int> q(8);
-  EXPECT_EQ(q.capacity(), 8u);
+  LaneQueue<int> q(8);
+  EXPECT_EQ(q.Capacity(Priority::kInteractive), 8u);
 
   std::atomic<int> popped{0};
   std::vector<std::thread> threads;
@@ -163,7 +166,7 @@ TEST(BoundedQueueTest, DepthStaysWithinCapacityUnderConcurrentTraffic) {
   std::thread observer([&q] {
     for (int i = 0; i < 2000; ++i) {
       const size_t d = q.Depth();
-      ASSERT_LE(d, q.capacity());
+      ASSERT_LE(d, q.Capacity(Priority::kInteractive));
     }
   });
   observer.join();
@@ -378,6 +381,38 @@ TEST(BatcherTest, LingerFlushesPartialBatch) {
   EXPECT_EQ(metrics.queue_wait_ms.count(), 1);
 }
 
+// Work-conserving linger: a consumer holding a partial batch stops waiting
+// for stragglers as soon as a peer consumer goes idle in Pop, even though
+// its linger window (10 s) has barely begun.
+TEST(BatcherTest, LingerEndsWhenPeerConsumerGoesIdle) {
+  RequestQueue queue(16);
+  ServerMetrics metrics;
+  Batcher batcher(&queue, Batcher::Options{8, microseconds(10'000'000)},
+                  &metrics);
+  THALI_CHECK_OK(queue.TryPush(MakeRequest(RenderImages(1)[0])));
+
+  std::vector<RequestPtr> batch;
+  std::atomic<bool> a_returned{false};
+  std::thread a([&] {
+    EXPECT_TRUE(batcher.NextBatch(&batch));
+    a_returned.store(true);
+  });
+  // With no idle peer, A lingers on its one-request batch.
+  std::this_thread::sleep_for(milliseconds(50));
+  EXPECT_FALSE(a_returned.load());
+
+  const ServeClock::time_point idle_at = ServeClock::now();
+  std::thread b([&queue] {
+    RequestPtr req;
+    EXPECT_FALSE(queue.Pop(&req));  // idle until Close
+  });
+  a.join();
+  EXPECT_LT(ServeClock::now() - idle_at, milliseconds(1000));
+  EXPECT_EQ(batch.size(), 1u);
+  queue.Close();
+  b.join();
+}
+
 TEST(BatcherTest, ExpiredRequestsCompleteWithoutOccupyingBatchSlots) {
   RequestQueue queue(16);
   ServerMetrics metrics;
@@ -465,6 +500,50 @@ TEST(ServerTest, ServedResultsBitwiseIdenticalToDirectDetectBatch) {
   EXPECT_EQ(m.timed_out.load(), 0);
   EXPECT_EQ(m.batched_images.load(), kImages);
   EXPECT_EQ(m.e2e_ms.count(), kImages);
+}
+
+// With a second worker idle, a lone request is not held for the linger:
+// the 10 s max_linger would dominate if the batcher waited it out.
+TEST(ServerTest, LoneRequestSkipsLingerWhenPeerWorkerIsIdle) {
+  Server::Options opts;
+  opts.num_workers = 2;
+  opts.max_batch_size = 8;
+  opts.max_linger = microseconds(10'000'000);
+  auto server_or = Server::Create(opts, StandardFactory());
+  ASSERT_TRUE(server_or.ok()) << server_or.status().ToString();
+  std::unique_ptr<Server> server = std::move(server_or).value();
+
+  auto fut = server->Submit(RenderImages(1)[0]);
+  ASSERT_TRUE(fut.ok()) << fut.status().ToString();
+  ASSERT_EQ(fut->wait_for(milliseconds(1000)), std::future_status::ready);
+  EXPECT_TRUE(fut->get().ok());
+  server->Shutdown();
+  EXPECT_EQ(server->metrics().batches.load(), 1);
+  EXPECT_EQ(server->metrics().batched_images.load(), 1);
+}
+
+// A lone worker has no idle peer, so it still lingers and folds a
+// straggler that arrives inside the window into the batch it holds.
+TEST(ServerTest, SingleWorkerFoldsStragglerIntoLingeringBatch) {
+  Server::Options opts;
+  opts.num_workers = 1;
+  opts.max_batch_size = 2;
+  opts.max_linger = microseconds(10'000'000);
+  auto server_or = Server::Create(opts, StandardFactory());
+  ASSERT_TRUE(server_or.ok()) << server_or.status().ToString();
+  std::unique_ptr<Server> server = std::move(server_or).value();
+
+  std::vector<Image> images = RenderImages(2);
+  auto first = server->Submit(std::move(images[0]));
+  ASSERT_TRUE(first.ok());
+  std::this_thread::sleep_for(milliseconds(20));
+  auto straggler = server->Submit(std::move(images[1]));
+  ASSERT_TRUE(straggler.ok());
+  EXPECT_TRUE(first->get().ok());
+  EXPECT_TRUE(straggler->get().ok());
+  server->Shutdown();
+  EXPECT_EQ(server->metrics().batches.load(), 1);
+  EXPECT_EQ(server->metrics().batched_images.load(), 2);
 }
 
 TEST(ServerTest, ExpiredDeadlineCompletesWithoutRunningNetwork) {
