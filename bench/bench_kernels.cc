@@ -206,30 +206,13 @@ void BM_ThaliInference(benchmark::State& state) {
   internal::SetInt8ForTesting(-1);
   THALI_CHECK_OK(built.status());
   Network& net = *built->net;
-  for (int i = 0; i < net.num_layers(); ++i) {
-    if (std::string_view(net.layer(i).kind()) == "convolutional") {
-      static_cast<ConvLayer&>(net.layer(i)).FoldBatchNorm();
-    }
-  }
   Tensor input(net.input_shape());
   for (int64_t i = 0; i < input.size(); ++i) input[i] = rng.NextGaussian();
-  if (int8) {
-    net.set_calib_phase(CalibPhase::kRange);
-    net.Forward(input, /*train=*/false);
-    net.set_calib_phase(CalibPhase::kOff);
-    for (int i = 0; i < net.num_layers(); ++i) {
-      Layer& l = net.layer(i);
-      if (std::string_view(l.kind()) != "convolutional") continue;
-      if (l.plan().conv_algo != ConvAlgo::kQuantInt8 &&
-          l.plan().conv_algo != ConvAlgo::kQuantInt8Direct1x1) {
-        continue;
-      }
-      static_cast<ConvLayer&>(l).FinalizeCalibration(100.0);
-    }
-    // Arm the quantize-once chains: the dtype pass only emits u8 edges
-    // once every conv in a domain has a calibrated range.
-    THALI_CHECK_OK(net.ReplanInference());
-  }
+  // Folds batch norm on both plans; on the int8 plan also calibrates the
+  // eligible convs and replans so the armed convs and their quantize-
+  // once chains run.
+  CalibrateInt8Ranges(net, 100.0,
+                      [&] { net.Forward(input, /*train=*/false); });
   net.Forward(input, /*train=*/false);  // warm: lazy prepack outside timing
   for (auto _ : state) {
     benchmark::DoNotOptimize(net.Forward(input, /*train=*/false).data());

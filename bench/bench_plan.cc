@@ -1,9 +1,9 @@
 // End-to-end benchmark of the inference execution-plan compiler
 // (nn/exec_plan.h): yolov4-thali forward throughput with the fused plan
 // (CNHW layout, copy elision, direct 1x1, Winograd 3x3, fast mish)
-// against the reference plan (im2col everywhere, NCHW, THALI_NO_FUSE
-// semantics), plus per-conv-layer GFLOP/s under both plans. Emits JSON
-// on stdout for BENCH_plan.json:
+// against the reference plan (im2col everywhere, NCHW; built under
+// internal::SetFusionForTesting(0)), plus per-conv-layer GFLOP/s under
+// both plans. Emits JSON on stdout for BENCH_plan.json:
 //
 //   ./bench_plan [iters] > BENCH_plan.json
 
@@ -134,8 +134,8 @@ void Emit(const PlanRun& fused, const PlanRun& ref) {
   std::printf("    \"GFLOP/s counts direct-convolution FLOPs "
               "(2*F*C*k^2*OH*OW) regardless of algorithm, so Winograd's "
               "2.25x multiply saving shows up as >raw-GEMM rates.\",\n");
-  std::printf("    \"reference plan = THALI_NO_FUSE semantics: NCHW, "
-              "im2col+GEMM everywhere, route copies performed.\"\n");
+  std::printf("    \"reference plan = internal::SetFusionForTesting(0): "
+              "NCHW, im2col+GEMM everywhere, route copies performed.\"\n");
   std::printf("  ]\n");
   std::printf("}\n");
 }

@@ -18,7 +18,7 @@ echo "== env allowlist: no new environment readers in src/ =="
 # Library behaviour is steered by these variables only. A getenv in src/
 # naming anything else fails here, so new process-wide switches cannot
 # grow back unnoticed.
-ALLOWED_ENV='THALI_INT8|THALI_INT8_CALIB|THALI_INT8_PERCENTILE|THALI_NO_FUSE|THALI_NUM_THREADS|THALI_NET_POLL'
+ALLOWED_ENV='THALI_INT8|THALI_INT8_CALIB|THALI_INT8_PERCENTILE|THALI_NUM_THREADS|THALI_NET_POLL'
 STRAY_ENV="$(git grep -n getenv -- src/ |
   grep -Ev "getenv\(\"(${ALLOWED_ENV})\"\)" || true)"
 if [[ -n "${STRAY_ENV}" ]]; then

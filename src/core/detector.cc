@@ -200,6 +200,8 @@ void Detector::FuseBatchNorm() {
       static_cast<ConvLayer&>(net_->layer(i)).FoldBatchNorm();
     }
   }
+  // Folding arms any int8-eligible conv that already has a range.
+  if (net_->int8_enabled()) THALI_CHECK_OK(net_->ReplanInference());
 }
 
 void Detector::ForwardImage(const Image& image) {
@@ -233,53 +235,20 @@ int Detector::CalibrateInt8(const FoodDataset& dataset,
                             std::span<const int> indices,
                             const Int8CalibrationOptions& options) {
   ReentrancyGuard guard(in_detect_);
-  // The quantized path runs on folded weights; fold first so the
-  // observed ranges describe the network int8 actually executes.
-  // (FoldBatchNorm is a per-layer no-op once folded.)
-  for (int i = 0; i < net_->num_layers(); ++i) {
-    if (std::string_view(net_->layer(i).kind()) == "convolutional") {
-      static_cast<ConvLayer&>(net_->layer(i)).FoldBatchNorm();
-    }
+  if (indices.empty()) {
+    FuseBatchNorm();
+    return 0;
   }
-  std::vector<ConvLayer*> eligible;
-  for (int i = 0; i < net_->num_layers(); ++i) {
-    Layer& l = net_->layer(i);
-    if (std::string_view(l.kind()) != "convolutional") continue;
-    if (l.plan().conv_algo != ConvAlgo::kQuantInt8 &&
-        l.plan().conv_algo != ConvAlgo::kQuantInt8Direct1x1) {
-      continue;
-    }
-    eligible.push_back(static_cast<ConvLayer*>(&l));
-  }
-  if (eligible.empty() || indices.empty()) return 0;
-  for (ConvLayer* conv : eligible) conv->ResetCalibration();
-  // Dropping the ranges invalidates any quantize-once chains a previous
-  // calibration installed; re-plan before the fp32 calibration forwards.
-  THALI_CHECK_OK(net_->ReplanInference());
-
   const int limit = std::min(static_cast<int>(indices.size()),
                              std::max(1, options.max_images));
-  const auto run_pass = [&](CalibPhase phase) {
-    net_->set_calib_phase(phase);
-    for (int i = 0; i < limit; ++i) {
-      ForwardImage(dataset.item(indices[static_cast<size_t>(i)]).image);
-    }
-    net_->set_calib_phase(CalibPhase::kOff);
-  };
-  run_pass(CalibPhase::kRange);
   const bool percentile =
       options.mode == Int8CalibrationOptions::Mode::kPercentile;
-  if (percentile) run_pass(CalibPhase::kHist);
-
-  int armed = 0;
-  for (ConvLayer* conv : eligible) {
-    conv->FinalizeCalibration(percentile ? options.percentile : 100.0);
-    if (conv->has_activation_range()) ++armed;
-  }
-  // The freshly installed ranges make quantize-once chains legal;
-  // recompile the plan so the next Forward runs them.
-  THALI_CHECK_OK(net_->ReplanInference());
-  return armed;
+  return CalibrateInt8Ranges(
+      *net_, percentile ? options.percentile : 100.0, [&] {
+        for (int i = 0; i < limit; ++i) {
+          ForwardImage(dataset.item(indices[static_cast<size_t>(i)]).image);
+        }
+      });
 }
 
 }  // namespace thali

@@ -114,7 +114,8 @@ class Detector {
 
   // Folds batch norms for faster inference (irreversible; do not train
   // afterwards). Composes with the inference-mode arena plan: folding
-  // touches only weights/biases, never activation buffers.
+  // touches only weights/biases, never activation buffers. An int8
+  // network is replanned, since folding arms calibrated convs.
   void FuseBatchNorm();
 
   // How Detector::CalibrateInt8 derives activation ranges.
@@ -129,13 +130,14 @@ class Detector {
     int max_images = 32;
   };
 
-  // Arms the THALI_INT8 conv path: folds batch norms (the quantized
-  // path runs on folded weights), then runs fp32 forward passes over
+  // Arms the THALI_INT8 conv path through CalibrateInt8Ranges
+  // (nn/conv_layer.h): folds batch norms, runs fp32 forward passes over
   // `indices` into `dataset` with the network's calibration phase set,
-  // and installs each eligible conv's activation range. A no-op network
-  // without kQuantInt8 plan entries (int8 off) returns 0. Returns the
-  // number of conv layers armed for int8. Persist the result with
-  // darknet/calibration_io.h to skip this pass on later loads.
+  // installs each int8-eligible conv's activation range and replans. A
+  // network without eligible convs (int8 off) is only folded and
+  // returns 0. Returns the number of conv layers armed for int8.
+  // Persist the result with darknet/calibration_io.h to skip this pass
+  // on later loads.
   int CalibrateInt8(const FoodDataset& dataset, std::span<const int> indices,
                     const Int8CalibrationOptions& options);
   int CalibrateInt8(const FoodDataset& dataset, std::span<const int> indices) {

@@ -69,12 +69,15 @@ StatusOr<int> LoadCalibration(Network& net, const std::string& path) {
   if (!read(&count, sizeof(count)) || count < 0) {
     return Status::Corruption("calibration file truncated");
   }
-  int armed = 0;
-  for (int32_t i = 0; i < count; ++i) {
-    Entry e;
-    if (!read(&e, sizeof(e))) {
-      return Status::Corruption("calibration file truncated");
-    }
+  // Parse and validate every entry before installing any: a bad entry,
+  // a truncated tail or trailing bytes leave the network untouched.
+  if (data.size() - pos != static_cast<size_t>(count) * sizeof(Entry)) {
+    return Status::Corruption(
+        "calibration file size does not match its entry count");
+  }
+  std::vector<Entry> entries(static_cast<size_t>(count));
+  for (Entry& e : entries) {
+    read(&e, sizeof(e));
     if (e.layer_index < 0 || e.layer_index >= net.num_layers() ||
         std::string_view(net.layer(e.layer_index).kind()) !=
             "convolutional") {
@@ -83,14 +86,15 @@ StatusOr<int> LoadCalibration(Network& net, const std::string& path) {
     if (!(e.range_min <= e.range_max)) {  // also rejects NaN
       return Status::Corruption("calibration entry has an invalid range");
     }
+  }
+  for (const Entry& e : entries) {
     static_cast<ConvLayer&>(net.layer(e.layer_index))
         .SetActivationRange(e.range_min, e.range_max);
-    ++armed;
   }
-  // Installed ranges enable quantize-once chaining; recompile the plan
-  // so the chains take effect before the next Forward.
+  // Installed ranges arm the convs and enable quantize-once chaining;
+  // recompile the plan so both take effect before the next Forward.
   THALI_RETURN_IF_ERROR(net.ReplanInference());
-  return armed;
+  return count;
 }
 
 }  // namespace thali

@@ -23,8 +23,10 @@ namespace thali {
 Status SaveCalibration(const Network& net, const std::string& path);
 
 // Installs saved ranges into an already-built network (layer indices
-// must match the cfg the file was calibrated against). Returns the
-// number of conv layers armed.
+// must match the cfg the file was calibrated against) and replans it.
+// All or nothing: the whole file is parsed and validated first, so a
+// malformed entry, truncation or trailing bytes return Corruption with
+// no range changed. Returns the number of ranges installed.
 StatusOr<int> LoadCalibration(Network& net, const std::string& path);
 
 }  // namespace thali

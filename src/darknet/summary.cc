@@ -85,6 +85,7 @@ std::string NetworkSummary(const Network& net) {
   const ExecPlan& plan = net.exec_plan();
   int64_t int8_bytes = 0;
   int int8_layers = 0;
+  int int8_eligible = 0;
   if (plan.fused) {
     os << StrFormat("\nplan: %4s  %-14s %10s  %5s %5s  %6s %5s  %4s %4s %8s\n",
                     "idx", "type", "algo", "in", "out", "elide", "dtype",
@@ -93,14 +94,12 @@ std::string NetworkSummary(const Network& net) {
       const Layer& layer = net.layer(i);
       const LayerPlan& lp = plan.layers[static_cast<size_t>(i)];
       const char* dtype = "f32";
-      if (lp.conv_algo == ConvAlgo::kQuantInt8 ||
-          lp.conv_algo == ConvAlgo::kQuantInt8Direct1x1) {
-        const auto& conv = static_cast<const ConvLayer&>(layer);
-        // A quantized plan entry runs fp32 until calibration arms it.
-        dtype = conv.has_activation_range() ? DTypeName(DType::kI8) : "f32*";
-        int8_bytes += conv.int8_weight_bytes();
+      if (IsInt8Algo(lp.conv_algo)) {
+        dtype = DTypeName(DType::kI8);
+        int8_bytes += static_cast<const ConvLayer&>(layer).int8_weight_bytes();
         ++int8_layers;
       }
+      if (lp.int8_eligible) ++int8_eligible;
       os << StrFormat("plan: %4d  %-14s %10s  %5s %5s  %6s %5s  %4s %4s %8s\n",
                       i, std::string(layer.kind()).c_str(),
                       ConvAlgoName(lp.conv_algo), ActLayoutName(lp.in_layout),
@@ -119,10 +118,10 @@ std::string NetworkSummary(const Network& net) {
                   static_cast<long long>(packed_bytes));
   if (net.int8_enabled()) {
     os << StrFormat(
-        "int8: %s kernel, %d quantized conv layers, %lld bytes of int8 "
-        "weights, %d quantized layers total, %d chained edges, %d dequant "
-        "edges\n",
-        SelectInt8GemmKernel().name, int8_layers,
+        "int8: %s kernel, %d of %d eligible conv layers quantized, %lld "
+        "bytes of int8 weights, %d quantized layers total, %d chained "
+        "edges, %d dequant edges\n",
+        SelectInt8GemmKernel().name, int8_layers, int8_eligible,
         static_cast<long long>(int8_bytes), plan.quantized_layers,
         plan.chained_edges, plan.dequant_edges);
   }

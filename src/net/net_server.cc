@@ -18,11 +18,25 @@ namespace net {
 
 namespace {
 
-// Loop sleep while replies are pending (futures need polling) vs idle.
+// Loop sleep while work is pending (completions also wake it) vs idle.
 constexpr int kBusyTimeoutMs = 1;
 constexpr int kIdleTimeoutMs = 50;
 
 }  // namespace
+
+// Both ends are non-blocking: a full pipe already holds a pending wake.
+struct NetServer::WakePipe {
+  WakePipe(int rx_fd, int tx_fd) : rx(rx_fd), tx(tx_fd) {}
+  ~WakePipe() {
+    CloseFd(rx);
+    CloseFd(tx);
+  }
+  void Wake() const {
+    const char byte = 'x';
+    (void)!write(tx, &byte, 1);
+  }
+  const int rx, tx;
+};
 
 StatusOr<std::unique_ptr<NetServer>> NetServer::Start(
     const Options& options, serve::ModelRouter* router) {
@@ -46,30 +60,30 @@ StatusOr<std::unique_ptr<NetServer>> NetServer::Start(
     CloseFd(*listen_fd);
     return Status::IOError(StrFormat("pipe: %s", strerror(errno)));
   }
-  Status nb = SetNonBlocking(pipe_fds[0], true);
-  if (!nb.ok()) {
-    CloseFd(*listen_fd);
-    CloseFd(pipe_fds[0]);
-    CloseFd(pipe_fds[1]);
-    return nb;
+  auto wake = std::make_shared<const WakePipe>(pipe_fds[0], pipe_fds[1]);
+  for (int fd : pipe_fds) {
+    Status nb = SetNonBlocking(fd, true);
+    if (!nb.ok()) {
+      CloseFd(*listen_fd);
+      return nb;
+    }
   }
   return std::unique_ptr<NetServer>(
       new NetServer(options, router, std::move(loop).value(), *listen_fd,
-                    *port, pipe_fds[0], pipe_fds[1]));
+                    *port, std::move(wake)));
 }
 
 NetServer::NetServer(const Options& options, serve::ModelRouter* router,
                      EventLoop loop, int listen_fd, uint16_t port,
-                     int wake_rx, int wake_tx)
+                     std::shared_ptr<const WakePipe> wake)
     : options_(options),
       router_(router),
       loop_(std::move(loop)),
       listen_fd_(listen_fd),
       port_(port),
-      wake_rx_(wake_rx),
-      wake_tx_(wake_tx) {
+      wake_(std::move(wake)) {
   THALI_CHECK_OK(loop_.Add(listen_fd_, /*want_write=*/false));
-  THALI_CHECK_OK(loop_.Add(wake_rx_, /*want_write=*/false));
+  THALI_CHECK_OK(loop_.Add(wake_->rx, /*want_write=*/false));
   loop_thread_ = std::thread([this] { LoopThread(); });
 }
 
@@ -78,15 +92,11 @@ NetServer::~NetServer() { Shutdown(); }
 void NetServer::Shutdown() {
   if (shut_down_.exchange(true)) return;
   stop_.store(true, std::memory_order_release);
-  // Wake the loop out of its idle sleep.
-  const char byte = 'x';
-  (void)!write(wake_tx_, &byte, 1);
+  wake_->Wake();  // out of the idle sleep
   loop_thread_.join();
   for (auto& [fd, conn] : conns_) CloseFd(fd);
   conns_.clear();
   CloseFd(listen_fd_);
-  CloseFd(wake_rx_);
-  CloseFd(wake_tx_);
 }
 
 void NetServer::AcceptPending() {
@@ -194,7 +204,8 @@ void NetServer::DispatchFrame(Connection* conn, const FrameHeader& header,
         submit.deadline = serve::ServeClock::now() +
                           std::chrono::milliseconds(req.deadline_ms);
       }
-      auto future = (*server)->Submit(std::move(req.image), submit);
+      auto future = (*server)->Submit(std::move(req.image), submit,
+                                      [wake = wake_] { wake->Wake(); });
       if (!future.ok()) {
         // Shed / backpressure / shutdown: the rejection status goes back
         // on the wire immediately, preserving reply order.
@@ -246,9 +257,9 @@ void NetServer::LoopThread() {
         accept_ready = e.readable;
         continue;
       }
-      if (e.fd == wake_rx_) {
+      if (e.fd == wake_->rx) {
         char drain[16];
-        while (read(wake_rx_, drain, sizeof(drain)) > 0) {
+        while (read(wake_->rx, drain, sizeof(drain)) > 0) {
         }
         continue;
       }

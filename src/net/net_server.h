@@ -33,9 +33,11 @@ namespace net {
 // max_inflight_per_conn unanswered DETECTs stops being parsed until
 // replies drain (per-client backpressure that also bounds memory).
 //
-// The detection futures resolve on serve-layer worker threads; the loop
-// polls pending heads with a zero-timeout wait while any reply is
-// outstanding (1 ms ticks), and sleeps long otherwise.
+// The detection futures resolve on serve-layer worker threads, and each
+// resolution wakes the loop through its self-pipe, so a reply goes out as
+// soon as it exists. While work is pending the loop also ticks every
+// 1 ms (buffered frames held back by the one-per-tick rule), and sleeps
+// long otherwise.
 class NetServer {
  public:
   struct Options {
@@ -76,9 +78,11 @@ class NetServer {
   void Shutdown();
 
  private:
+  struct WakePipe;
+
   NetServer(const Options& options, serve::ModelRouter* router,
-            EventLoop loop, int listen_fd, uint16_t port, int wake_rx,
-            int wake_tx);
+            EventLoop loop, int listen_fd, uint16_t port,
+            std::shared_ptr<const WakePipe> wake);
 
   void LoopThread();
   void AcceptPending();
@@ -97,9 +101,10 @@ class NetServer {
   EventLoop loop_;
   int listen_fd_;
   uint16_t port_;
-  // Self-pipe waking the loop out of a long sleep for shutdown.
-  int wake_rx_;
-  int wake_tx_;
+  // Self-pipe waking the loop for shutdown and whenever a DETECT future
+  // resolves. Completion hooks share it, so a request that finishes
+  // after Shutdown never writes to a closed (or reused) descriptor.
+  std::shared_ptr<const WakePipe> wake_;
 
   Counters counters_;
   std::map<int, std::unique_ptr<Connection>> conns_;  // loop thread only

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
 
 #include "base/thread_pool.h"
 #include "nn/network.h"
@@ -25,6 +26,51 @@ constexpr int64_t kColCacheMaxFloats = int64_t{1} << 24;
 constexpr int64_t kBnGrainElems = int64_t{1} << 14;
 // Histogram resolution of the percentile calibration pass.
 constexpr int64_t kCalibBins = 2048;
+
+// The GEMM-epilogue form of activation `a`, or false when it needs a
+// separate pass (mish fuses only when `fuse_mish`).
+bool EpilogueActivation(Activation a, bool fuse_mish, GemmActivation* act) {
+  switch (a) {
+    case Activation::kLinear:
+      return true;  // nothing to apply
+    case Activation::kLeaky:
+      *act = GemmActivation::kLeaky;
+      return true;
+    case Activation::kRelu:
+      *act = GemmActivation::kRelu;
+      return true;
+    case Activation::kMish:
+      if (!fuse_mish) return false;
+      *act = GemmActivation::kMish;
+      return true;
+    default:
+      return false;  // logistic keeps its separate activation pass
+  }
+}
+
+// The u8 bytes chained conv `l` reads, or null when its input is fp32. A
+// chained layer 0 reads the quantized NETWORK INPUT (filled by
+// Network::Forward or staged by the detector's fused letterbox-quantize);
+// every other chained conv reads its producer's u8 activation block.
+const uint8_t* ChainedInput(const Layer& l, Network& net) {
+  if (l.plan().in_dtype != DType::kU8) return nullptr;
+  const uint8_t* q =
+      l.index() == 0 ? net.quant_input() : net.quant_act(l.index() - 1);
+  THALI_CHECK(q != nullptr);
+  return q;
+}
+
+// Points the int8 epilogue `e` at float offset `off` of the layer output:
+// its u8 chain block when requantizing (returns null, no fp32 C), the
+// fp32 tensor otherwise (returns the GEMM's C).
+float* Int8OutputAt(Int8Epilogue& e, Tensor& raw, int64_t off) {
+  if (e.out_u8 != nullptr) {
+    e.out_u8 += off;
+    return nullptr;
+  }
+  return raw.data() + off;
+}
+
 }  // namespace
 
 Status ConvLayer::Configure(const Shape& input_shape, const Network&) {
@@ -101,34 +147,9 @@ int64_t ConvLayer::WorkspaceSize() const {
     case ConvAlgo::kWinograd:
       return WinogradWorkspaceFloats(in_c_, opts_.filters, in_shape_.dim(2),
                                      in_shape_.dim(3));
-    case ConvAlgo::kQuantInt8: {
-      // The int8 path's byte scratch, and enough for the fp32 forward it
-      // falls back to before calibration:
-      // Winograd at stride 1, the im2col panel at stride 2.
-      const int64_t k = in_c_ * opts_.ksize * opts_.ksize;
-      const int64_t int8_floats =
-          (Int8ConvWorkspaceBytes(opts_.filters, out_h_ * out_w_, k,
-                                  in_c_ * in_shape_.dim(2) *
-                                      in_shape_.dim(3)) +
-           3) /
-          4;
-      const int64_t fallback_floats =
-          opts_.stride == 1
-              ? WinogradWorkspaceFloats(in_c_, opts_.filters,
-                                        in_shape_.dim(2), in_shape_.dim(3))
-              : k * out_h_ * out_w_;
-      return std::max(int8_floats, fallback_floats);
-    }
-    case ConvAlgo::kQuantInt8Direct1x1: {
-      // With CNHW on both sides the whole batch is one GEMM over a
-      // [C, batch*HW] panel; otherwise the path runs per item. The
-      // fp32 kDirect1x1 fallback needs no scratch at all.
-      const bool whole = plan().in_layout == ActLayout::kCNHW &&
-                         plan().out_layout == ActLayout::kCNHW;
-      const int64_t n =
-          (whole ? in_shape_.dim(0) : int64_t{1}) * out_h_ * out_w_;
-      return (Int8Direct1x1WorkspaceBytes(opts_.filters, n, in_c_) + 3) / 4;
-    }
+    case ConvAlgo::kQuantInt8:
+    case ConvAlgo::kQuantInt8Direct1x1:
+      return int8_ws_.ws_floats;  // sized by OnPlanUpdated
     case ConvAlgo::kIm2col:
       break;
   }
@@ -137,12 +158,19 @@ int64_t ConvLayer::WorkspaceSize() const {
 }
 
 void ConvLayer::OnPlanUpdated() {
-  int8_ws_ = Int8Sections();
   const ConvAlgo algo = plan().conv_algo;
-  if (algo != ConvAlgo::kQuantInt8 &&
-      algo != ConvAlgo::kQuantInt8Direct1x1) {
-    return;
+  if (algo != planned_algo_) {
+    // Each algo runs from its own weight copy: drop the old one so an
+    // armed int8 conv never holds fp32 panels.
+    planned_algo_ = algo;
+    packed_weights_ = Tensor();
+    wino_packed_ = Tensor();
+    qweights_.Clear();
+    wcolsum_.clear();
+    packed_dirty_ = true;
   }
+  int8_ws_ = Int8Sections();
+  if (!IsInt8Algo(algo)) return;
   const auto align64 = [](int64_t v) { return (v + 63) / 64 * 64; };
   const int64_t out_hw = out_h_ * out_w_;
   const int64_t k = in_c_ * opts_.ksize * opts_.ksize;
@@ -157,6 +185,8 @@ void ConvLayer::OnPlanUpdated() {
     int8_ws_.ws_floats =
         (Int8ConvWorkspaceBytes(opts_.filters, out_hw, k, in_planes) + 3) / 4;
   } else {
+    // With CNHW on both sides the whole batch is one GEMM over a
+    // [C, batch*HW] panel; otherwise the kernel runs per item.
     int8_ws_.whole_batch = plan().in_layout == ActLayout::kCNHW &&
                            plan().out_layout == ActLayout::kCNHW;
     const int64_t n =
@@ -189,16 +219,11 @@ void ConvLayer::InitWeights(Rng& rng) {
 }
 
 void ConvLayer::PrepackWeights() {
-  if (!inference()) return;
-  const bool quant_algo = plan().conv_algo == ConvAlgo::kQuantInt8 ||
-                          plan().conv_algo == ConvAlgo::kQuantInt8Direct1x1;
-  if (quant_algo) {
-    // Quantize the fp32 weights per output channel. The fp32 pack below
-    // (Winograd for stride-1 3x3, plain panels for 1x1 and the strided
-    // prefix) is kept too: Forward falls back to it until the layer has
-    // a calibrated activation range.
-    const int64_t m = opts_.filters;
-    const int64_t k = in_c_ * opts_.ksize * opts_.ksize;
+  if (!inference() || !packed_dirty_) return;
+  const int64_t m = opts_.filters;
+  const int64_t k = in_c_ * opts_.ksize * opts_.ksize;
+  if (IsInt8Algo(plan().conv_algo)) {
+    // Quantize the fp32 weights per output channel.
     const Shape qshape({m, Int8PackedK(k)});
     if (qweights_.q.dtype() != DType::kI8 ||
         !(qweights_.q.shape() == qshape)) {
@@ -209,17 +234,7 @@ void ConvLayer::PrepackWeights() {
     wcolsum_.resize(static_cast<size_t>(m));
     Int8QuantizeWeights(weights_.data(), m, k, qweights_.q.data<int8_t>(),
                         qweights_.scale.data(), wcolsum_.data());
-  } else {
-    qweights_.Clear();
-    wcolsum_.clear();
-  }
-  if (plan().conv_algo == ConvAlgo::kQuantInt8Direct1x1) {
-    // The 1x1 quant path shares the plain fp32 panel pack below for its
-    // kDirect1x1 fallback; no Winograd state.
-    wino_packed_ = Tensor();
-  }
-  if (plan().conv_algo == ConvAlgo::kWinograd ||
-      (plan().conv_algo == ConvAlgo::kQuantInt8 && opts_.stride == 1)) {
+  } else if (plan().conv_algo == ConvAlgo::kWinograd) {
     // Winograd plans keep only the prepacked GEMM A panels of
     // U = G w G^T; the unpacked U is a transient.
     std::vector<float> u(
@@ -228,18 +243,13 @@ void ConvLayer::PrepackWeights() {
     const int64_t pf = WinogradPackedWeightFloats(opts_.filters, in_c_);
     if (wino_packed_.size() != pf) wino_packed_.Resize(Shape({pf}));
     WinogradPackWeights(u.data(), opts_.filters, in_c_, wino_packed_.data());
-    packed_weights_ = Tensor();
-    packed_dirty_ = false;
-    return;
+  } else {
+    const int64_t floats = GemmPackedWeightFloats(m, k);
+    if (packed_weights_.size() != floats) {
+      packed_weights_.Resize(Shape({floats}));
+    }
+    GemmPackWeights(weights_.data(), m, k, packed_weights_.data());
   }
-  const int64_t m = opts_.filters;
-  const int64_t k = in_c_ * opts_.ksize * opts_.ksize;
-  const int64_t floats = GemmPackedWeightFloats(m, k);
-  if (packed_weights_.size() != floats) {
-    packed_weights_.Resize(Shape({floats}));
-  }
-  GemmPackWeights(weights_.data(), m, k, packed_weights_.data());
-  wino_packed_ = Tensor();
   packed_dirty_ = false;
 }
 
@@ -258,385 +268,85 @@ const float* ConvLayer::PrepareCol(const float* in, int64_t chan_stride,
   return ws;
 }
 
-void ConvLayer::Forward(const Tensor& input, Network& net, bool train) {
+ConvLayer::Strides ConvLayer::LayoutStrides() const {
+  // NCHW: item b's channel c plane at (b*C + c)*HW — per-item base
+  // b*C*HW, channel stride HW. CNHW: plane (c, b) at (c*batch + b)*HW —
+  // per-item base b*HW, channel stride batch*HW. The im2col gathers and
+  // the GEMM B reads and C write-backs absorb either layout through these.
   const int64_t batch = in_shape_.dim(0);
   const int64_t in_hw = in_shape_.dim(2) * in_shape_.dim(3);
   const int64_t out_hw = out_h_ * out_w_;
-  const int64_t in_plane = in_c_ * in_hw;
-  const int64_t out_plane = opts_.filters * out_hw;
-  const int64_t m = opts_.filters;
-  const int64_t k = in_c_ * opts_.ksize * opts_.ksize;
-  const int64_t n = out_hw;
-  const bool direct = IsDirect1x1();
-
-  // Layout strides from the compiled plan. NCHW: item b's channel c
-  // plane at (b*C + c)*HW — per-item base b*in_plane, channel stride
-  // HW. CNHW: plane (c, b) at (c*batch + b)*HW — per-item base b*HW,
-  // channel stride batch*HW. Both the im2col gather and the GEMM C
-  // write-back absorb either layout through these strides.
-  ConvAlgo algo = plan().conv_algo;
-  if (algo == ConvAlgo::kQuantInt8 ||
-      algo == ConvAlgo::kQuantInt8Direct1x1) {
-    if (net.calib_phase() != CalibPhase::kOff) {
-      ObserveCalibration(input, net.calib_phase());
-    }
-    // The quantized path needs a calibrated input range and folded batch
-    // norm; until then (and during calibration passes) the layer runs its
-    // fp32 fallback — Winograd for the 3x3 geometry, direct 1x1
-    // otherwise. A CHAINED layer has no fp32 fallback (its u8 input is
-    // never materialized as floats), which is why every calibration-state
-    // change must go through Network::ReplanInference before the next
-    // Forward.
-    const bool int8_active = !opts_.batch_normalize && has_act_range_ &&
-                             net.calib_phase() == CalibPhase::kOff;
-    if (!int8_active) {
-      THALI_CHECK(plan().in_dtype == DType::kF32 &&
-                  plan().out_dtype == DType::kF32)
-          << "conv " << index()
-          << ": chained int8 plan with an inactive quantized path — "
-             "ReplanInference was skipped after a calibration change";
-      if (algo == ConvAlgo::kQuantInt8) {
-        // Stride-1 3x3 falls back to Winograd; the strided prefix convs
-        // have no Winograd form and fall back to the im2col reference.
-        algo = opts_.stride == 1 ? ConvAlgo::kWinograd : ConvAlgo::kIm2col;
-      } else {
-        algo = ConvAlgo::kDirect1x1;
-      }
-    }
-  }
   const bool cnhw_in = plan().in_layout == ActLayout::kCNHW;
   const bool cnhw_out = plan().out_layout == ActLayout::kCNHW;
-  const int64_t in_chan_stride = cnhw_in ? batch * in_hw : in_hw;
-  const int64_t out_chan_stride = cnhw_out ? batch * out_hw : out_hw;
-  const int64_t in_item = cnhw_in ? in_hw : in_plane;
-  const int64_t out_item = cnhw_out ? out_hw : out_plane;
-  const int64_t col_plane =
-      algo == ConvAlgo::kIm2col && !direct ? in_c_ * opts_.ksize *
-                                                 opts_.ksize * out_hw
-                                           : 0;
+  return {cnhw_in ? in_hw : in_c_ * in_hw, cnhw_in ? batch * in_hw : in_hw,
+          cnhw_out ? out_hw : opts_.filters * out_hw,
+          cnhw_out ? batch * out_hw : out_hw};
+}
 
-  // During training, keep the per-item im2col panels around so Backward's
-  // weight-gradient GEMM reuses them instead of recomputing (bounded by
-  // kColCacheMaxFloats; larger layers fall back to recompute).
-  cols_cached_ =
-      train && !direct && batch * col_plane <= kColCacheMaxFloats &&
-      col_plane > 0;
-  if (cols_cached_ && col_cache_.size() != batch * col_plane) {
-    col_cache_.Resize(Shape({batch, col_plane}));
+void ConvLayer::Forward(const Tensor& input, Network& net, bool train) {
+  const ConvAlgo algo = plan().conv_algo;
+  if (plan().int8_eligible && net.calib_phase() != CalibPhase::kOff) {
+    ObserveCalibration(input, net.calib_phase());
   }
+  // Re-packs after weight loading or batch-norm folding; training
+  // networks run the unpacked Gemm entry point.
+  PrepackWeights();
 
-  // Inference networks run the GEMM from a pre-packed weight copy, and —
-  // once batch norm has been folded away — fuse the bias add and simple
-  // activations into the GEMM's C write-back. Leaky/ReLU fusion
-  // replicates the separate passes op for op, so outputs stay bitwise
-  // identical to the staged path; the mish epilogue (fused plans only)
-  // runs the same fast kernel the separate pass would. Training
-  // networks keep the unpacked Gemm entry point.
-  if (algo == ConvAlgo::kWinograd ||
-      (algo == ConvAlgo::kQuantInt8 && opts_.stride == 1)) {
-    // FoldBatchNorm and weight loading invalidate the transformed (and
-    // quantized) weights too; re-derive lazily like the packed panels.
-    if (packed_dirty_ || wino_packed_.size() == 0 ||
-        (plan().conv_algo == ConvAlgo::kQuantInt8 && qweights_.empty())) {
-      PrepackWeights();
-    }
-  } else if (algo == ConvAlgo::kQuantInt8) {
-    // Strided quantized conv: no Winograd state; the packed fp32 panels
-    // back the im2col fallback.
-    if (packed_dirty_ || qweights_.empty() || packed_weights_.size() == 0) {
-      PrepackWeights();
-    }
-  } else if (inference() &&
-             (packed_dirty_ || packed_weights_.size() == 0)) {
-    PrepackWeights();
-  }
-  GemmEpilogue epilogue;
-  bool fused_bias = false;
-  bool fused_act = false;
-  if (inference() && algo != ConvAlgo::kWinograd &&
-      algo != ConvAlgo::kQuantInt8 && !opts_.batch_normalize) {
-    epilogue.bias = biases_.data();
-    fused_bias = true;
-    switch (opts_.activation) {
-      case Activation::kLinear:
-        fused_act = true;  // nothing to apply
-        break;
-      case Activation::kLeaky:
-        epilogue.activation = GemmActivation::kLeaky;
-        fused_act = true;
-        break;
-      case Activation::kRelu:
-        epilogue.activation = GemmActivation::kRelu;
-        fused_act = true;
-        break;
-      case Activation::kMish:
-        if (plan().fast_act) {
-          epilogue.activation = GemmActivation::kMish;
-          fused_act = true;
-        }
-        break;
-      default:
-        break;  // logistic keeps its separate activation pass
-    }
-  }
+  // Once batch norm is folded, inference kernels fuse the bias add — and
+  // the activation, where the epilogue can apply it — into their
+  // write-back (Winograd has no GEMM C traversal to fuse into).
+  // Leaky/ReLU fusion replicates the separate passes op for op, so
+  // outputs stay bitwise identical to the staged path. Mish fuses
+  // through the fast kernel family: in fp32 on fused plans, in int8
+  // only when requantizing to u8 (an f32-out int8 conv keeps the
+  // separate FastMishInPlace pass, so its values stay bitwise those of
+  // the unchained path).
+  const bool u8_out = plan().out_dtype == DType::kU8;
+  GemmEpilogue epi;
+  const bool fused_bias = inference() && !opts_.batch_normalize &&
+                          algo != ConvAlgo::kWinograd;
+  const bool fused_act =
+      fused_bias &&
+      EpilogueActivation(opts_.activation,
+                         IsInt8Algo(algo) ? u8_out : plan().fast_act,
+                         &epi.activation);
+  if (fused_bias) epi.bias = biases_.data();
+  THALI_CHECK(fused_act || !u8_out)
+      << "conv " << index() << ": u8-out plan with unfusable activation";
 
-  // Inference layers keep no pre-BN cache: the GEMM lands in output_
+  // Inference layers keep no pre-BN cache: the conv lands in output_
   // and BN normalizes it in place (elementwise, so bitwise identical to
   // the staged path).
   Tensor& raw =
       opts_.batch_normalize && !inference() ? conv_out_ : output_;
-
-  if (algo == ConvAlgo::kQuantInt8 ||
-      algo == ConvAlgo::kQuantInt8Direct1x1) {
-    // Quantized path: the u8 activation columns come either from the
-    // chained producer's buffer (plan().in_dtype == kU8 — quantize-once)
-    // or from quantizing the fp32 input planes here; then pack,
-    // exact-integer GEMM, and the shared requantize epilogue fuses bias
-    // and leaky/relu. When plan().out_dtype == kU8 the epilogue also
-    // requantizes straight into this layer's u8 buffer (mish included,
-    // via the fast-math vector kernel); f32-out mish keeps its separate
-    // FastMishInPlace pass below so unchained values stay bitwise
-    // identical to the pre-chaining path.
-    const bool chained_in = plan().in_dtype == DType::kU8;
-    const bool u8_out = plan().out_dtype == DType::kU8;
-    Int8Epilogue epi;
-    epi.in_scale = chained_in ? plan().in_qscale : act_in_scale_;
-    epi.in_zp = chained_in ? plan().in_qzp : act_in_zp_;
-    epi.wscale = qweights_.scale.data();
-    epi.wcolsum = wcolsum_.data();
-    epi.bias = biases_.data();
-    fused_bias = true;
-    switch (opts_.activation) {
-      case Activation::kLinear:
-        fused_act = true;  // nothing to apply
-        break;
-      case Activation::kLeaky:
-        epi.activation = GemmActivation::kLeaky;
-        fused_act = true;
-        break;
-      case Activation::kRelu:
-        epi.activation = GemmActivation::kRelu;
-        fused_act = true;
-        break;
-      case Activation::kMish:
-        if (u8_out) {
-          epi.activation = GemmActivation::kMish;
-          fused_act = true;
-        }
-        break;
-      default:
-        break;
-    }
-    if (u8_out) {
-      THALI_CHECK(fused_act)
-          << "conv " << index() << ": u8-out plan with unfusable activation";
-      epi.out_inv_scale = 1.0f / plan().out_qscale;
-      epi.out_zp = plan().out_qzp;
-    }
-    // A chained layer 0 reads the quantized NETWORK INPUT (filled by
-    // Network::Forward or staged by the detector's fused
-    // letterbox-quantize); every other chained conv reads its producer's
-    // u8 activation block.
-    const uint8_t* qsrc =
-        !chained_in ? nullptr
-                    : (index() == 0 ? net.quant_input()
-                                    : net.quant_act(index() - 1));
-    uint8_t* qdst = u8_out ? net.quant_act(index()) : nullptr;
-    THALI_CHECK(int8_ws_.valid) << "conv " << index()
-                                << ": int8 sections not planned";
-    THALI_CHECK(!chained_in || qsrc != nullptr);
-    THALI_CHECK(!u8_out || qdst != nullptr);
-    const int64_t ws_floats = int8_ws_.ws_floats;
-    const float inv_scale = 1.0f / act_in_scale_;
-    const int8_t* qw = qweights_.q.data<int8_t>();
-    if (algo == ConvAlgo::kQuantInt8) {
-      THALI_CHECK(int8_ws_.gemm_n == n);
-      const uint8_t in_zp_byte =
-          static_cast<uint8_t>(chained_in ? plan().in_qzp : act_in_zp_);
-      ParallelForBounded(
-          0, batch, 1, net.workspace_slots(),
-          [&](int64_t b0, int64_t b1, int tid) {
-            // Byte sections inside the float workspace, precomputed by
-            // OnPlanUpdated to match Int8ConvWorkspaceBytes.
-            uint8_t* wsb =
-                reinterpret_cast<uint8_t*>(net.workspace(tid, ws_floats));
-            uint8_t* qin = wsb + int8_ws_.qin;
-            uint8_t* col = wsb + int8_ws_.col;
-            uint8_t* packed = wsb + int8_ws_.packed;
-            int32_t* acc = reinterpret_cast<int32_t*>(wsb + int8_ws_.acc);
-            for (int64_t b = b0; b < b1; ++b) {
-              const uint8_t* qim;
-              int64_t qim_stride;
-              if (chained_in) {
-                // The producer already wrote this layer's input domain;
-                // im2col gathers straight from its u8 planes (border
-                // pad = the shared zero point, exact x = 0).
-                qim = qsrc + b * in_item;
-                qim_stride = in_chan_stride;
-              } else {
-                const float* in = input.data() + b * in_item;
-                for (int64_t c = 0; c < in_c_; ++c) {
-                  Int8QuantizeActivations(in + c * in_chan_stride, in_hw,
-                                          inv_scale, act_in_zp_,
-                                          qin + c * in_hw);
-                }
-                qim = qin;
-                qim_stride = in_hw;
-              }
-              Im2ColStridedU8(qim, qim_stride, in_c_, in_shape_.dim(2),
-                              in_shape_.dim(3), opts_.ksize, opts_.stride,
-                              opts_.pad, in_zp_byte, col);
-              Int8PackActCols(col, k, n, packed);
-              Int8Epilogue e = epi;
-              float* cmat = nullptr;
-              if (u8_out) {
-                e.out_u8 = qdst + b * out_item;
-              } else {
-                cmat = raw.data() + b * out_item;
-              }
-              Int8GemmPrepacked(m, n, k, qw, packed, e, cmat,
-                                out_chan_stride, acc);
-            }
-          });
-    } else if (int8_ws_.whole_batch) {
-      // 1x1, blocked layout on both sides: the whole batch is one GEMM
-      // over the [C, batch*HW] block (no im2col — the channel planes
-      // already form the col matrix). Runs inline; the GEMM itself
-      // row-parallelizes across the pool.
-      const int64_t nb = batch * n;
-      THALI_CHECK(int8_ws_.gemm_n == nb);
-      uint8_t* wsb = reinterpret_cast<uint8_t*>(net.workspace(0, ws_floats));
-      uint8_t* packed = wsb + int8_ws_.packed;
-      int32_t* acc = reinterpret_cast<int32_t*>(wsb + int8_ws_.acc);
-      const uint8_t* qcols;
-      if (chained_in) {
-        qcols = qsrc;
-      } else {
-        uint8_t* qin = wsb + int8_ws_.qin;
-        Int8QuantizeActivations(input.data(), k * nb, inv_scale, act_in_zp_,
-                                qin);
-        qcols = qin;
-      }
-      Int8PackActCols(qcols, k, nb, packed);
-      Int8Epilogue e = epi;
-      float* cmat = nullptr;
-      if (u8_out) {
-        e.out_u8 = qdst;
-      } else {
-        cmat = raw.data();
-      }
-      Int8GemmPrepacked(m, nb, k, qw, packed, e, cmat, batch * out_hw, acc);
-    } else {
-      // 1x1, mixed or NCHW layouts: one GEMM per item, packing the u8
-      // columns straight from the (possibly strided) channel planes.
-      THALI_CHECK(int8_ws_.gemm_n == n);
-      ParallelForBounded(
-          0, batch, 1, net.workspace_slots(),
-          [&](int64_t b0, int64_t b1, int tid) {
-            uint8_t* wsb =
-                reinterpret_cast<uint8_t*>(net.workspace(tid, ws_floats));
-            uint8_t* qin = wsb + int8_ws_.qin;
-            uint8_t* packed = wsb + int8_ws_.packed;
-            int32_t* acc = reinterpret_cast<int32_t*>(wsb + int8_ws_.acc);
-            for (int64_t b = b0; b < b1; ++b) {
-              if (chained_in) {
-                Int8PackActColsStrided(qsrc + b * in_item, in_chan_stride, k,
-                                       n, packed);
-              } else {
-                const float* in = input.data() + b * in_item;
-                if (cnhw_in) {
-                  for (int64_t c = 0; c < in_c_; ++c) {
-                    Int8QuantizeActivations(in + c * in_chan_stride, in_hw,
-                                            inv_scale, act_in_zp_,
-                                            qin + c * in_hw);
-                  }
-                } else {
-                  // NCHW item: the k*HW block is contiguous.
-                  Int8QuantizeActivations(in, k * in_hw, inv_scale,
-                                          act_in_zp_, qin);
-                }
-                Int8PackActCols(qin, k, n, packed);
-              }
-              Int8Epilogue e = epi;
-              float* cmat = nullptr;
-              if (u8_out) {
-                e.out_u8 = qdst + b * out_item;
-              } else {
-                cmat = raw.data() + b * out_item;
-              }
-              Int8GemmPrepacked(m, n, k, qw, packed, e, cmat,
-                                out_chan_stride, acc);
-            }
-          });
-    }
-    if (u8_out) return;  // bias + activation fused; no fp32 output exists
-  } else if (algo == ConvAlgo::kWinograd) {
-    // Per-item Winograd; at batch 1 the single chunk runs inline so the
-    // 16 transform-domain GEMMs fan out across the pool instead. Bias
-    // and activation stay separate passes (no GEMM C traversal to fuse
-    // into spans the whole output).
-    const int64_t wino_ws = WinogradWorkspaceFloats(
-        in_c_, opts_.filters, in_shape_.dim(2), in_shape_.dim(3));
-    ParallelForBounded(
-        0, batch, 1, net.workspace_slots(),
-        [&](int64_t b0, int64_t b1, int tid) {
-          float* ws = net.workspace(tid, wino_ws);
-          for (int64_t b = b0; b < b1; ++b) {
-            WinogradForward(input.data() + b * in_item, in_chan_stride,
-                            in_c_, in_shape_.dim(2), in_shape_.dim(3),
-                            /*u=*/nullptr, wino_packed_.data(), opts_.filters,
-                            raw.data() + b * out_item, out_chan_stride, ws);
-          }
-        });
-  } else if (algo == ConvAlgo::kDirect1x1 && cnhw_in && cnhw_out) {
-    // Blocked layout on both sides: the whole batch is one GEMM over
-    // the [C, batch*HW] input block — identical per-element accumulation
-    // chains to the per-item GEMMs, just wider.
-    GemmPrepacked(m, batch * n, k, packed_weights_.data(), /*tb=*/false,
-                  input.data(), batch * in_hw, 0.0f, raw.data(),
-                  batch * out_hw, fused_bias ? &epilogue : nullptr);
-  } else if (algo == ConvAlgo::kDirect1x1) {
-    // Mixed or NCHW layouts: one strided GEMM per item, no im2col.
-    ParallelForBounded(
-        0, batch, 1, net.workspace_slots(),
-        [&](int64_t b0, int64_t b1, int) {
-          for (int64_t b = b0; b < b1; ++b) {
-            GemmPrepacked(m, n, k, packed_weights_.data(), /*tb=*/false,
-                          input.data() + b * in_item, in_chan_stride, 0.0f,
-                          raw.data() + b * out_item, out_chan_stride,
-                          fused_bias ? &epilogue : nullptr);
-          }
-        });
-  } else {
-    // Reference im2col path. Batch items are independent: each strand
-    // owns disjoint output planes and its own im2col scratch.
-    ParallelForBounded(
-        0, batch, 1, net.workspace_slots(),
-        [&](int64_t b0, int64_t b1, int tid) {
-          float* ws = nullptr;
-          if (!direct && !cols_cached_) ws = net.workspace(tid, col_plane);
-          for (int64_t b = b0; b < b1; ++b) {
-            float* dst = cols_cached_ ? col_cache_.data() + b * col_plane : ws;
-            const float* col =
-                PrepareCol(input.data() + b * in_item, in_chan_stride, dst);
-            if (inference()) {
-              GemmPrepacked(m, n, k, packed_weights_.data(), /*tb=*/false,
-                            col, n, 0.0f, raw.data() + b * out_item,
-                            out_chan_stride, fused_bias ? &epilogue : nullptr);
-            } else {
-              Gemm(false, false, m, n, k, 1.0f, weights_.data(), k, col, n,
-                   0.0f, raw.data() + b * out_item, out_chan_stride);
-            }
-          }
-        });
+  const GemmEpilogue* fused = fused_bias ? &epi : nullptr;
+  switch (algo) {
+    case ConvAlgo::kIm2col:
+      ForwardIm2col(input, raw, net, train, fused);
+      break;
+    case ConvAlgo::kDirect1x1:
+      ForwardDirect1x1(input, raw, net, fused);
+      break;
+    case ConvAlgo::kWinograd:
+      ForwardWinograd(input, raw, net);
+      break;
+    case ConvAlgo::kQuantInt8:
+      ForwardInt8(input, raw, net, epi);
+      break;
+    case ConvAlgo::kQuantInt8Direct1x1:
+      ForwardInt8Direct1x1(input, raw, net, epi);
+      break;
   }
+  if (u8_out) return;  // bias + activation fused; no fp32 output exists
 
+  const int64_t batch = in_shape_.dim(0);
   if (opts_.batch_normalize) {
     BatchNormForward(train);
   } else if (!fused_bias) {
     // Plain bias add; (batch, filter) planes are independent. The plane
     // index maps to a filter as pl % F in NCHW and pl / batch in CNHW.
-    const int64_t spatial = out_hw;
+    const int64_t spatial = out_h_ * out_w_;
+    const bool cnhw_out = plan().out_layout == ActLayout::kCNHW;
     ParallelFor(0, batch * opts_.filters,
                 std::max<int64_t>(1, kBnGrainElems / std::max<int64_t>(
                                                          1, spatial)),
@@ -678,6 +388,250 @@ void ConvLayer::Forward(const Tensor& input, Network& net, bool train) {
                                   i1 - i0);
                 });
   }
+}
+
+void ConvLayer::ForwardIm2col(const Tensor& input, Tensor& raw, Network& net,
+                              bool train, const GemmEpilogue* epi) {
+  // Reference im2col path. Batch items are independent: each strand
+  // owns disjoint output planes and its own im2col scratch.
+  const int64_t batch = in_shape_.dim(0);
+  const int64_t m = opts_.filters;
+  const int64_t k = in_c_ * opts_.ksize * opts_.ksize;
+  const int64_t n = out_h_ * out_w_;
+  const bool direct = IsDirect1x1();
+  const int64_t col_plane = direct ? 0 : k * n;
+  const Strides s = LayoutStrides();
+  // During training, keep the per-item im2col panels around so Backward's
+  // weight-gradient GEMM reuses them instead of recomputing (bounded by
+  // kColCacheMaxFloats; larger layers fall back to recompute).
+  cols_cached_ =
+      train && col_plane > 0 && batch * col_plane <= kColCacheMaxFloats;
+  if (cols_cached_ && col_cache_.size() != batch * col_plane) {
+    col_cache_.Resize(Shape({batch, col_plane}));
+  }
+  ParallelForBounded(
+      0, batch, 1, net.workspace_slots(),
+      [&](int64_t b0, int64_t b1, int tid) {
+        float* ws = nullptr;
+        if (!direct && !cols_cached_) ws = net.workspace(tid, col_plane);
+        for (int64_t b = b0; b < b1; ++b) {
+          float* dst = cols_cached_ ? col_cache_.data() + b * col_plane : ws;
+          const float* col =
+              PrepareCol(input.data() + b * s.in_item, s.in_chan, dst);
+          if (inference()) {
+            GemmPrepacked(m, n, k, packed_weights_.data(), /*tb=*/false, col,
+                          n, 0.0f, raw.data() + b * s.out_item, s.out_chan,
+                          epi);
+          } else {
+            Gemm(false, false, m, n, k, 1.0f, weights_.data(), k, col, n,
+                 0.0f, raw.data() + b * s.out_item, s.out_chan);
+          }
+        }
+      });
+}
+
+void ConvLayer::ForwardDirect1x1(const Tensor& input, Tensor& raw,
+                                 Network& net, const GemmEpilogue* epi) {
+  const int64_t batch = in_shape_.dim(0);
+  const int64_t m = opts_.filters;
+  const int64_t n = out_h_ * out_w_;
+  if (plan().in_layout == ActLayout::kCNHW &&
+      plan().out_layout == ActLayout::kCNHW) {
+    // Blocked layout on both sides: the whole batch is one GEMM over
+    // the [C, batch*HW] input block — identical per-element accumulation
+    // chains to the per-item GEMMs, just wider.
+    GemmPrepacked(m, batch * n, in_c_, packed_weights_.data(), /*tb=*/false,
+                  input.data(), batch * n, 0.0f, raw.data(), batch * n, epi);
+    return;
+  }
+  // Mixed or NCHW layouts: one strided GEMM per item, no im2col.
+  const Strides s = LayoutStrides();
+  ParallelForBounded(0, batch, 1, net.workspace_slots(),
+                     [&](int64_t b0, int64_t b1, int) {
+                       for (int64_t b = b0; b < b1; ++b) {
+                         GemmPrepacked(m, n, in_c_, packed_weights_.data(),
+                                       /*tb=*/false,
+                                       input.data() + b * s.in_item, s.in_chan,
+                                       0.0f, raw.data() + b * s.out_item,
+                                       s.out_chan, epi);
+                       }
+                     });
+}
+
+void ConvLayer::ForwardWinograd(const Tensor& input, Tensor& raw,
+                                Network& net) {
+  // Per-item Winograd; at batch 1 the single chunk runs inline so the
+  // 16 transform-domain GEMMs fan out across the pool instead. Bias and
+  // activation stay separate passes.
+  const Strides s = LayoutStrides();
+  const int64_t wino_ws = WorkspaceSize();
+  ParallelForBounded(
+      0, in_shape_.dim(0), 1, net.workspace_slots(),
+      [&](int64_t b0, int64_t b1, int tid) {
+        float* ws = net.workspace(tid, wino_ws);
+        for (int64_t b = b0; b < b1; ++b) {
+          WinogradForward(input.data() + b * s.in_item, s.in_chan, in_c_,
+                          in_shape_.dim(2), in_shape_.dim(3), /*u=*/nullptr,
+                          wino_packed_.data(), opts_.filters,
+                          raw.data() + b * s.out_item, s.out_chan, ws);
+        }
+      });
+}
+
+
+Int8Epilogue ConvLayer::Int8EpilogueFor(Network& net,
+                                        const GemmEpilogue& epi) const {
+  // The compiler arms a quantized algo only for a calibrated, folded
+  // conv, and calibration replans to fp32 before its passes; a plan left
+  // stale by a calibration change aborts here instead of quantizing
+  // with a meaningless scale.
+  THALI_CHECK(has_act_range_ && net.calib_phase() == CalibPhase::kOff)
+      << "conv " << index()
+      << ": int8 plan for an uncalibrated conv — ReplanInference was "
+         "skipped after a calibration change";
+  THALI_CHECK(int8_ws_.valid) << "conv " << index()
+                              << ": int8 sections not planned";
+  const bool chained_in = plan().in_dtype == DType::kU8;
+  Int8Epilogue e;
+  e.in_scale = chained_in ? plan().in_qscale : act_in_scale_;
+  e.in_zp = chained_in ? plan().in_qzp : act_in_zp_;
+  e.wscale = qweights_.scale.data();
+  e.wcolsum = wcolsum_.data();
+  e.bias = epi.bias;
+  e.activation = epi.activation;
+  if (plan().out_dtype == DType::kU8) {
+    e.out_u8 = net.quant_act(index());
+    THALI_CHECK(e.out_u8 != nullptr);
+    e.out_inv_scale = 1.0f / plan().out_qscale;
+    e.out_zp = plan().out_qzp;
+  }
+  return e;
+}
+
+void ConvLayer::ForwardInt8(const Tensor& input, Tensor& raw, Network& net,
+                            const GemmEpilogue& epi) {
+  // The u8 activation columns come either from the chained producer's
+  // buffer (quantize-once) or from quantizing the fp32 input planes
+  // here; then u8 im2col (border pad = the zero point, exact x = 0),
+  // pack, exact-integer GEMM, and the shared requantize epilogue.
+  const Int8Epilogue qe = Int8EpilogueFor(net, epi);
+  const uint8_t* qsrc = ChainedInput(*this, net);
+  const int64_t batch = in_shape_.dim(0);
+  const int64_t in_hw = in_shape_.dim(2) * in_shape_.dim(3);
+  const int64_t m = opts_.filters;
+  const int64_t k = in_c_ * opts_.ksize * opts_.ksize;
+  const int64_t n = out_h_ * out_w_;
+  THALI_CHECK(int8_ws_.gemm_n == n);
+  const Strides s = LayoutStrides();
+  const float inv_scale = 1.0f / act_in_scale_;
+  const uint8_t in_zp_byte = static_cast<uint8_t>(qe.in_zp);
+  const int8_t* qw = qweights_.q.data<int8_t>();
+  ParallelForBounded(
+      0, batch, 1, net.workspace_slots(),
+      [&](int64_t b0, int64_t b1, int tid) {
+        // Byte sections inside the float workspace, precomputed by
+        // OnPlanUpdated to match Int8ConvWorkspaceBytes.
+        uint8_t* wsb = reinterpret_cast<uint8_t*>(
+            net.workspace(tid, int8_ws_.ws_floats));
+        uint8_t* qin = wsb + int8_ws_.qin;
+        uint8_t* col = wsb + int8_ws_.col;
+        uint8_t* packed = wsb + int8_ws_.packed;
+        int32_t* acc = reinterpret_cast<int32_t*>(wsb + int8_ws_.acc);
+        for (int64_t b = b0; b < b1; ++b) {
+          const uint8_t* qim = qin;
+          int64_t qim_stride = in_hw;
+          if (qsrc != nullptr) {
+            qim = qsrc + b * s.in_item;
+            qim_stride = s.in_chan;
+          } else {
+            const float* in = input.data() + b * s.in_item;
+            for (int64_t c = 0; c < in_c_; ++c) {
+              Int8QuantizeActivations(in + c * s.in_chan, in_hw, inv_scale,
+                                      act_in_zp_, qin + c * in_hw);
+            }
+          }
+          Im2ColStridedU8(qim, qim_stride, in_c_, in_shape_.dim(2),
+                          in_shape_.dim(3), opts_.ksize, opts_.stride,
+                          opts_.pad, in_zp_byte, col);
+          Int8PackActCols(col, k, n, packed);
+          Int8Epilogue e = qe;
+          float* cmat = Int8OutputAt(e, raw, b * s.out_item);
+          Int8GemmPrepacked(m, n, k, qw, packed, e, cmat, s.out_chan, acc);
+        }
+      });
+}
+
+void ConvLayer::ForwardInt8Direct1x1(const Tensor& input, Tensor& raw,
+                                     Network& net, const GemmEpilogue& epi) {
+  // The quantized channel planes are the GEMM B matrix: no im2col.
+  const Int8Epilogue qe = Int8EpilogueFor(net, epi);
+  const uint8_t* qsrc = ChainedInput(*this, net);
+  const int64_t batch = in_shape_.dim(0);
+  const int64_t in_hw = in_shape_.dim(2) * in_shape_.dim(3);
+  const int64_t m = opts_.filters;
+  const int64_t k = in_c_;
+  const int64_t n = out_h_ * out_w_;
+  const float inv_scale = 1.0f / act_in_scale_;
+  const int8_t* qw = qweights_.q.data<int8_t>();
+  if (int8_ws_.whole_batch) {
+    // Blocked layout on both sides: the whole batch is one GEMM over the
+    // [C, batch*HW] block. Runs inline; the GEMM itself row-parallelizes
+    // across the pool.
+    const int64_t nb = batch * n;
+    THALI_CHECK(int8_ws_.gemm_n == nb);
+    uint8_t* wsb =
+        reinterpret_cast<uint8_t*>(net.workspace(0, int8_ws_.ws_floats));
+    uint8_t* packed = wsb + int8_ws_.packed;
+    int32_t* acc = reinterpret_cast<int32_t*>(wsb + int8_ws_.acc);
+    const uint8_t* qcols = qsrc;
+    if (qsrc == nullptr) {
+      uint8_t* qin = wsb + int8_ws_.qin;
+      Int8QuantizeActivations(input.data(), k * nb, inv_scale, act_in_zp_,
+                              qin);
+      qcols = qin;
+    }
+    Int8PackActCols(qcols, k, nb, packed);
+    Int8Epilogue e = qe;
+    float* cmat = Int8OutputAt(e, raw, 0);
+    Int8GemmPrepacked(m, nb, k, qw, packed, e, cmat, nb, acc);
+    return;
+  }
+  // Mixed or NCHW layouts: one GEMM per item, packing the u8 columns
+  // straight from the (possibly strided) channel planes.
+  THALI_CHECK(int8_ws_.gemm_n == n);
+  const Strides s = LayoutStrides();
+  const bool cnhw_in = plan().in_layout == ActLayout::kCNHW;
+  ParallelForBounded(
+      0, batch, 1, net.workspace_slots(),
+      [&](int64_t b0, int64_t b1, int tid) {
+        uint8_t* wsb = reinterpret_cast<uint8_t*>(
+            net.workspace(tid, int8_ws_.ws_floats));
+        uint8_t* qin = wsb + int8_ws_.qin;
+        uint8_t* packed = wsb + int8_ws_.packed;
+        int32_t* acc = reinterpret_cast<int32_t*>(wsb + int8_ws_.acc);
+        for (int64_t b = b0; b < b1; ++b) {
+          if (qsrc != nullptr) {
+            Int8PackActColsStrided(qsrc + b * s.in_item, s.in_chan, k, n,
+                                   packed);
+          } else {
+            const float* in = input.data() + b * s.in_item;
+            if (cnhw_in) {
+              for (int64_t c = 0; c < in_c_; ++c) {
+                Int8QuantizeActivations(in + c * s.in_chan, in_hw, inv_scale,
+                                        act_in_zp_, qin + c * in_hw);
+              }
+            } else {
+              // NCHW item: the k*HW block is contiguous.
+              Int8QuantizeActivations(in, k * in_hw, inv_scale, act_in_zp_,
+                                      qin);
+            }
+            Int8PackActCols(qin, k, n, packed);
+          }
+          Int8Epilogue e = qe;
+          float* cmat = Int8OutputAt(e, raw, b * s.out_item);
+          Int8GemmPrepacked(m, n, k, qw, packed, e, cmat, s.out_chan, acc);
+        }
+      });
 }
 
 void ConvLayer::BatchNormForward(bool train) {
@@ -1017,6 +971,39 @@ void ConvLayer::FoldBatchNorm() {
   x_norm_ = Tensor();
   col_cache_ = Tensor();
   wg_scratch_ = Tensor();
+}
+
+int CalibrateInt8Ranges(Network& net, double percentile,
+                        const std::function<void()>& forward) {
+  std::vector<ConvLayer*> eligible;
+  for (int i = 0; i < net.num_layers(); ++i) {
+    Layer& l = net.layer(i);
+    if (std::string_view(l.kind()) != "convolutional") continue;
+    auto& conv = static_cast<ConvLayer&>(l);
+    conv.FoldBatchNorm();  // a per-layer no-op once folded
+    if (l.plan().int8_eligible) eligible.push_back(&conv);
+  }
+  if (eligible.empty()) return 0;
+  // Dropping the ranges disarms every conv (and any quantize-once chain
+  // a previous calibration installed): the passes observe fp32.
+  for (ConvLayer* conv : eligible) conv->ResetCalibration();
+  THALI_CHECK_OK(net.ReplanInference());
+  const auto run_pass = [&](CalibPhase phase) {
+    net.set_calib_phase(phase);
+    forward();
+    net.set_calib_phase(CalibPhase::kOff);
+  };
+  run_pass(CalibPhase::kRange);
+  if (percentile < 100.0) run_pass(CalibPhase::kHist);
+  int armed = 0;
+  for (ConvLayer* conv : eligible) {
+    conv->FinalizeCalibration(percentile);
+    if (conv->has_activation_range()) ++armed;
+  }
+  // The installed ranges arm the convs; recompile so the next Forward
+  // runs the int8 kernels and their chains.
+  THALI_CHECK_OK(net.ReplanInference());
+  return armed;
 }
 
 }  // namespace thali

@@ -1,11 +1,14 @@
 #ifndef THALI_NN_CONV_LAYER_H_
 #define THALI_NN_CONV_LAYER_H_
 
+#include <functional>
 #include <vector>
 
 #include "base/rng.h"
 #include "nn/activation.h"
 #include "nn/layer.h"
+#include "tensor/gemm.h"
+#include "tensor/gemm_int8.h"
 #include "tensor/qtensor.h"
 
 namespace thali {
@@ -14,9 +17,10 @@ namespace thali {
 // Darknet's `[convolutional]` layer. Weight layout is
 // (out_channels, in_channels, ksize, ksize); the reference computation is
 // im2col + GEMM. Under a fused inference plan (nn/exec_plan.h) Forward
-// instead dispatches on plan().conv_algo — a direct whole-batch GEMM for
-// 1x1 convs, Winograd F(2x2,3x3) for stride-1 3x3 convs — and reads/
-// writes either NCHW or the blocked CNHW layout through GEMM strides.
+// runs the one kernel plan().conv_algo names — a direct whole-batch GEMM
+// for 1x1 convs, Winograd F(2x2,3x3) for stride-1 3x3 convs, the int8
+// kernels for armed convs — and reads/writes either NCHW or the blocked
+// CNHW layout through GEMM strides.
 //
 // With batch_normalize, the layer carries scales (gamma), biases (beta)
 // and rolling mean/variance exactly like Darknet, so the serialized
@@ -45,15 +49,15 @@ class ConvLayer : public Layer {
   int64_t WorkspaceSize() const override;
 
   // Precomputes the int8 byte-workspace section offsets for the current
-  // plan/shapes (quant algos only). Forward used to re-derive these
-  // inside its batch loop on every call; now they are computed exactly
-  // once per plan push and asserted against in the hot path.
+  // plan/shapes (quant algos only), once per plan push. When the plan
+  // changes the conv algorithm, the weight copy of the old algorithm is
+  // dropped and the pack marked dirty.
   void OnPlanUpdated() override;
 
-  // Packs weights_ into the GEMM panel layout so inference forwards skip
-  // the per-call A packing (and fuse bias/activation into the GEMM
-  // write-back once batch norm has been folded). No-op for training
-  // networks or when the packed path is disabled.
+  // Derives the one weight copy plan().conv_algo runs from: int8 rows
+  // and column sums for the quantized algos, the Winograd U panels for
+  // kWinograd, GEMM A panels otherwise. No-op for training networks and
+  // while the pack is current.
   void PrepackWeights() override;
 
   // Invalidates the packed copy after any mutation of weights_ (weight
@@ -61,26 +65,30 @@ class ConvLayer : public Layer {
   // Forward re-packs.
   void MarkWeightsDirty() { packed_dirty_ = true; }
 
-  // Bytes held by the pre-packed weight copy (0 when not packed).
+  // Bytes held by the pre-packed fp32 weight copy, GEMM A panels or
+  // Winograd U panels (0 when not packed, or under a quantized algo).
   int64_t packed_weight_bytes() const {
-    return packed_weights_.size() * static_cast<int64_t>(sizeof(float));
+    return (packed_weights_.size() + wino_packed_.size()) *
+           static_cast<int64_t>(sizeof(float));
   }
 
-  // Bytes held by the quantized int8 weight copy (0 when the layer's
-  // plan is not kQuantInt8 or weights are not packed yet).
+  // Bytes held by the quantized int8 weight copy (0 unless the layer's
+  // plan runs a quantized algo and its weights are packed).
   int64_t int8_weight_bytes() const { return qweights_.q.bytes(); }
 
-  // --- int8 activation calibration (kQuantInt8 plans only) ---
+  // --- int8 activation calibration (int8-eligible convs only) ---
   //
-  // The quantized path needs the input activation range of each int8
-  // conv. Detector::CalibrateInt8 collects it by running fp32 forwards
-  // with net.calib_phase() set (kRange then optionally kHist) and then
+  // The quantized kernels need the input activation range of each int8
+  // conv. CalibrateInt8Ranges collects it by running fp32 forwards with
+  // net.calib_phase() set (kRange then optionally kHist) and then
   // calling FinalizeCalibration; a persisted calibration instead lands
-  // directly in SetActivationRange. Until a range is set, Forward falls
-  // back to the fp32 Winograd path.
+  // directly in SetActivationRange. A range arms the conv only once the
+  // plan is recompiled (Network::ReplanInference): the compiler gives
+  // an eligible conv its quantized algo when it has a range and folded
+  // batch norm, and the fp32 algo of its geometry otherwise.
 
-  // Installs the input range; derives (scale, zero point) per
-  // tensor/gemm_int8.h and arms the quantized path.
+  // Installs the input range and derives (scale, zero point) per
+  // tensor/gemm_int8.h.
   void SetActivationRange(float range_min, float range_max);
   bool has_activation_range() const { return has_act_range_; }
   float activation_range_min() const { return act_in_min_; }
@@ -125,6 +133,31 @@ class ConvLayer : public Layer {
   const float* PrepareCol(const float* in, int64_t chan_stride,
                           float* ws) const;
 
+  // Float offsets of batch item b's first channel plane (b * item) and
+  // between its channel planes (chan), per side of the compiled layout.
+  struct Strides {
+    int64_t in_item, in_chan, out_item, out_chan;
+  };
+  Strides LayoutStrides() const;
+
+  // One kernel per ConvAlgo, writing the conv output to `raw`. `epi` is
+  // the fused bias/activation write-back (null: none); the int8 kernels
+  // requantize through its int8 form.
+  void ForwardIm2col(const Tensor& input, Tensor& raw, Network& net,
+                     bool train, const GemmEpilogue* epi);
+  void ForwardDirect1x1(const Tensor& input, Tensor& raw, Network& net,
+                        const GemmEpilogue* epi);
+  void ForwardWinograd(const Tensor& input, Tensor& raw, Network& net);
+  void ForwardInt8(const Tensor& input, Tensor& raw, Network& net,
+                   const GemmEpilogue& epi);
+  void ForwardInt8Direct1x1(const Tensor& input, Tensor& raw, Network& net,
+                            const GemmEpilogue& epi);
+
+  // The int8 kernels' requantize epilogue: input domain, weight scales,
+  // `epi`'s bias and activation, and the u8 output block of a chained
+  // output. Aborts when the conv is not armed (stale plan).
+  Int8Epilogue Int8EpilogueFor(Network& net, const GemmEpilogue& epi) const;
+
   void BatchNormForward(bool train);
   void BatchNormBackward();
 
@@ -147,7 +180,9 @@ class ConvLayer : public Layer {
   std::vector<int32_t> wcolsum_;  // per-filter quantized-row sums
   Tensor wino_packed_;         // the 16 Winograd U_k = G w G^T matrices
                                // prepacked into GEMM A panels
-  bool packed_dirty_ = true;   // weights_ changed since the last pack
+  bool packed_dirty_ = true;   // weights_ or the algo changed since the
+                               // last pack
+  ConvAlgo planned_algo_ = ConvAlgo::kIm2col;  // algo of the last plan
   Tensor biases_, bias_grads_;
   // Batch-norm parameters (allocated only when batch_normalize).
   Tensor scales_, scale_grads_;
@@ -161,7 +196,7 @@ class ConvLayer : public Layer {
   Tensor wg_scratch_;        // per-item weight-gradient slots (Backward)
 
   // Byte-section offsets inside the per-strand float workspace of the
-  // quantized paths, laid out exactly as Int8ConvWorkspaceBytes /
+  // quantized kernels, laid out exactly as Int8ConvWorkspaceBytes /
   // Int8Direct1x1WorkspaceBytes size them. Derived from the plan once
   // in OnPlanUpdated (Finalize / SetBatch / ReplanInference), never in
   // Forward.
@@ -177,7 +212,7 @@ class ConvLayer : public Layer {
   };
   Int8Sections int8_ws_;
 
-  // int8 activation quantization state (quantized plans).
+  // int8 activation quantization state (int8-eligible convs).
   bool has_act_range_ = false;
   float act_in_min_ = 0.0f, act_in_max_ = 0.0f;
   float act_in_scale_ = 1.0f;
@@ -187,6 +222,19 @@ class ConvLayer : public Layer {
   bool calib_seen_ = false;
   std::vector<int64_t> calib_hist_;
 };
+
+// Calibrates the int8-eligible convs (LayerPlan::int8_eligible) of a
+// finalized inference network. Folds batch norm on every conv (the int8
+// kernels run on folded weights, so the observed ranges must describe
+// them), drops the eligible convs' ranges and replans so every conv runs
+// fp32, calls `forward` under CalibPhase::kRange — and again under kHist
+// when percentile < 100 — then installs each range with
+// FinalizeCalibration(percentile) and replans so the armed convs and
+// their quantize-once chains run. `forward` runs the calibration
+// forwards (any number of Network::Forward calls). Returns the number of
+// convs armed; a network without eligible convs is only folded.
+int CalibrateInt8Ranges(Network& net, double percentile,
+                        const std::function<void()>& forward);
 
 }  // namespace thali
 

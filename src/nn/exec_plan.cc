@@ -146,10 +146,6 @@ ArenaPlan PlanArenaGrouped(const Network& net, const std::vector<int>& last_use,
 
 }  // namespace
 
-const char* ExecModeName(ExecMode mode) {
-  return mode == ExecMode::kTraining ? "training" : "inference";
-}
-
 const char* ActLayoutName(ActLayout layout) {
   return layout == ActLayout::kNCHW ? "nchw" : "cnhw";
 }
@@ -170,9 +166,7 @@ const char* ConvAlgoName(ConvAlgo algo) {
 }
 
 bool FusionEnabled() {
-  const int o = g_fuse_override.load(std::memory_order_relaxed);
-  if (o >= 0) return o != 0;
-  return !internal::NoFuseEnvValueDisables(std::getenv("THALI_NO_FUSE"));
+  return g_fuse_override.load(std::memory_order_relaxed) != 0;
 }
 
 bool Int8Enabled() {
@@ -185,11 +179,6 @@ namespace internal {
 
 void SetFusionForTesting(int enabled) {
   g_fuse_override.store(enabled, std::memory_order_relaxed);
-}
-
-bool NoFuseEnvValueDisables(const char* value) {
-  return value != nullptr && value[0] != '\0' &&
-         !(value[0] == '0' && value[1] == '\0');
 }
 
 void SetInt8ForTesting(int enabled) {
@@ -293,34 +282,36 @@ ExecPlan CompileExecPlan(const Network& net, bool fuse, bool int8) {
       }
     }
 
-    // 2. Conv algorithm and fast-activation selection by geometry.
+    // 2. Conv algorithm and fast-activation selection by geometry. Under
+    // int8 a conv is eligible when the quantized kernels cover it: every
+    // 1x1 (the int8 GEMM absorbs layouts through strides like
+    // kDirect1x1, so even the NCHW-pinned head feeders quantize — their
+    // f32 output is a dequant edge into the yolo heads) and every 3x3/
+    // pad-1 at stride 1 or 2 whose output is not NCHW-pinned (the u8
+    // im2col walks any stride; the pin protects whatever consumer forced
+    // it). An eligible conv runs a quantized algo only once it is armed
+    // — batch norm folded and a calibrated range installed — and keeps
+    // the fp32 algo of its geometry until then.
     for (int i = 0; i < n; ++i) {
       if (cls[static_cast<size_t>(i)] != kConv) continue;
       LayerPlan& lp = plan.layers[static_cast<size_t>(i)];
-      const auto& o = static_cast<const ConvLayer&>(net.layer(i)).options();
-      if (o.ksize == 1 && o.stride == 1 && o.pad == 0) {
-        // int8 takes 1x1s regardless of layout pins — like kDirect1x1,
-        // the quantized GEMM absorbs layouts through strides, so even
-        // the NCHW-pinned head feeders quantize (their f32 output is a
-        // dequant edge into the yolo heads).
-        lp.conv_algo =
-            int8 ? ConvAlgo::kQuantInt8Direct1x1 : ConvAlgo::kDirect1x1;
-      } else if (o.ksize == 3 && o.stride == 1 && o.pad == 1) {
-        // int8 takes the Winograd geometry, but NCHW-pinned convs stay
-        // fp32 to protect whatever consumer forced the pin (in the
-        // thali net the head feeders are 1x1 direct convs, already
-        // fp32; the guard covers pinned 3x3s in other topologies).
-        lp.conv_algo = int8 && !forced[static_cast<size_t>(i)]
-                           ? ConvAlgo::kQuantInt8
-                           : ConvAlgo::kWinograd;
-      } else if (o.ksize == 3 && o.stride == 2 && o.pad == 1 && int8 &&
-                 !forced[static_cast<size_t>(i)]) {
-        // Strided 3x3 (the thali downsampling prefix, convs 0-1): no
-        // Winograd form exists, but the u8 im2col already walks any
-        // stride, so int8 takes it; fp32 plans stay on im2col.
-        lp.conv_algo = ConvAlgo::kQuantInt8;
+      const auto& cv = static_cast<const ConvLayer&>(net.layer(i));
+      const auto& o = cv.options();
+      const bool is_1x1 = o.ksize == 1 && o.stride == 1 && o.pad == 0;
+      const bool is_3x3 = o.ksize == 3 && o.pad == 1;
+      if (is_1x1) {
+        lp.conv_algo = ConvAlgo::kDirect1x1;
+      } else if (is_3x3 && o.stride == 1) {
+        lp.conv_algo = ConvAlgo::kWinograd;
       } else {
         lp.conv_algo = ConvAlgo::kIm2col;
+      }
+      lp.int8_eligible =
+          int8 && (is_1x1 || (is_3x3 && (o.stride == 1 || o.stride == 2) &&
+                              !forced[static_cast<size_t>(i)]));
+      if (lp.int8_eligible && !o.batch_normalize && cv.has_activation_range()) {
+        lp.conv_algo =
+            is_1x1 ? ConvAlgo::kQuantInt8Direct1x1 : ConvAlgo::kQuantInt8;
       }
       lp.fast_act = o.activation == Activation::kMish;
     }
@@ -408,15 +399,14 @@ ExecPlan CompileExecPlan(const Network& net, bool fuse, bool int8) {
     // 4. Quantize-once dtype assignment. A u8 edge means the producer's
     // requantize epilogue emits 7-bit bytes in the edge domain and the
     // consumer skips quantize + pack-from-fp32. The pass only sees
-    // chains once calibration ranges exist: the Finalize-time compile is
+    // chains once convs are armed: the Finalize-time compile is
     // chain-free (nothing is calibrated yet) and
     // Network::ReplanInference recompiles after Detector::CalibrateInt8
     // or LoadCalibration installs ranges. Dropping ranges
-    // (ResetCalibration) must likewise replan, because a chained conv
-    // has no fp32 fallback.
+    // (ResetCalibration) must likewise replan: the int8 kernels abort on
+    // a conv without a range.
     if (int8) {
-      // qconv: convs the runtime int8 gate will actually keep quantized
-      // (algo selected int8, range installed, batch norm folded).
+      // qconv: armed convs, the ones step 2 gave a quantized algo.
       // qprod: qconv whose activation the requantize epilogue can apply
       // (linear/leaky/relu, mish through the FastMish family) so its
       // OUTPUT may be u8. qpass: layout-uniform passthroughs that move
@@ -430,14 +420,8 @@ ExecPlan CompileExecPlan(const Network& net, bool fuse, bool int8) {
       for (int i = 0; i < n; ++i) {
         const LayerPlan& lp = plan.layers[static_cast<size_t>(i)];
         if (cls[static_cast<size_t>(i)] == kConv) {
-          if (lp.conv_algo != ConvAlgo::kQuantInt8 &&
-              lp.conv_algo != ConvAlgo::kQuantInt8Direct1x1) {
-            continue;
-          }
+          if (!IsInt8Algo(lp.conv_algo)) continue;
           const auto& cv = static_cast<const ConvLayer&>(net.layer(i));
-          if (cv.options().batch_normalize || !cv.has_activation_range()) {
-            continue;
-          }
           qconv[static_cast<size_t>(i)] = 1;
           const Activation a = cv.options().activation;
           qprod[static_cast<size_t>(i)] =

@@ -23,8 +23,6 @@ class Network;
 //               programming error on an inference network.
 enum class ExecMode { kTraining, kInference };
 
-const char* ExecModeName(ExecMode mode);
-
 // Which activation-statistics pass, if any, the network's Forward is
 // currently running (int8 calibration — see Detector::CalibrateInt8).
 //
@@ -52,12 +50,15 @@ enum class ActLayout { kNCHW, kCNHW };
 
 const char* ActLayoutName(ActLayout layout);
 
-// Which convolution algorithm a conv layer's Forward dispatches to.
+// Which convolution algorithm a conv layer's Forward runs. The plan
+// compiler is the only place that chooses it; Forward runs exactly this
+// algorithm and never re-decides.
 //
 //  kIm2col    — the reference path (im2col + GEMM); always used by
-//               training networks and by THALI_NO_FUSE inference, and
-//               by fused inference for geometries the fast paths do not
-//               cover (stride > 1, ksize other than 1/3).
+//               training networks and by the reference (unfused)
+//               inference plan, and by fused inference for geometries
+//               the fast paths do not cover (stride > 1, ksize other
+//               than 1/3).
 //  kDirect1x1 — 1x1/stride-1/pad-0: the input planes already form the
 //               GEMM B matrix; with CNHW layouts on both sides the
 //               whole batch collapses into a single [F,C]x[C,N*H*W]
@@ -69,18 +70,14 @@ const char* ActLayoutName(ActLayout layout);
 //               tolerance (see tensor/winograd.h).
 //  kQuantInt8 — per-channel symmetric int8 (tensor/gemm_int8.h) for
 //               3x3/pad-1 at stride 1 or 2 (the u8 im2col walks any
-//               stride), selected only when the network was finalized
-//               with THALI_INT8 enabled and the layer is not NCHW-pinned
-//               (detection-head feeders stay fp32). Forward falls back
-//               to kWinograd (stride 1) or kIm2col (stride 2) at runtime
-//               until the layer has a calibrated activation range.
+//               stride). Compiled only for an ARMED conv: int8-eligible
+//               (LayerPlan::int8_eligible), batch norm folded and a
+//               calibrated input range installed.
 //  kQuantInt8Direct1x1 — int8 variant of kDirect1x1 (1x1/stride-1/
 //               pad-0): the quantized channel planes ARE the GEMM B
 //               matrix, so the path quantizes (or chains) and packs
-//               with no im2col at all. Selected under THALI_INT8
-//               regardless of layout pins (the GEMM absorbs layouts
-//               through strides like kDirect1x1 does). Forward falls
-//               back to kDirect1x1 until calibrated.
+//               with no im2col at all. Compiled only for an armed conv,
+//               like kQuantInt8.
 enum class ConvAlgo {
   kIm2col,
   kDirect1x1,
@@ -91,15 +88,25 @@ enum class ConvAlgo {
 
 const char* ConvAlgoName(ConvAlgo algo);
 
+// True for the two quantized algorithms.
+inline bool IsInt8Algo(ConvAlgo algo) {
+  return algo == ConvAlgo::kQuantInt8 || algo == ConvAlgo::kQuantInt8Direct1x1;
+}
+
 // Per-layer decisions of the inference plan compiler. The default
 // constructed value (NCHW in/out, kIm2col, nothing fused, nothing
 // elided) reproduces the pre-compiler behaviour exactly and is what
-// training networks, standalone layers and THALI_NO_FUSE inference run
-// with.
+// training networks, standalone layers and the reference inference plan
+// run with.
 struct LayerPlan {
   ActLayout in_layout = ActLayout::kNCHW;
   ActLayout out_layout = ActLayout::kNCHW;
   ConvAlgo conv_algo = ConvAlgo::kIm2col;
+  // The conv's geometry and layout pin admit an int8 algorithm (int8
+  // plans only). An eligible conv runs the fp32 algorithm its geometry
+  // selects until it is armed (batch norm folded, range calibrated) and
+  // the plan is recompiled; calibration observes exactly these convs.
+  bool int8_eligible = false;
   // Route mish activations through the fast vectorized family
   // (tensor/act_kernels.h) instead of libm — fused plans only.
   bool fast_act = false;
@@ -172,7 +179,7 @@ struct ArenaPlan {
 // LayerPlan per layer plus the (alias-aware) arena placement.
 struct ExecPlan {
   // True when the plan compiler ran with fusion on (inference mode and
-  // neither THALI_NO_FUSE nor the testing override disabled it). When
+  // not disabled by internal::SetFusionForTesting). When
   // false every LayerPlan is default-constructed and the forward pass
   // is bitwise identical to the seed per-layer path.
   bool fused = false;
@@ -217,7 +224,11 @@ struct ExecPlan {
 //     always layout-uniform; convs absorb either layout on either side
 //     through GEMM strides, so no standalone convert pass ever runs.
 //  2. Conv algorithms: kDirect1x1 / kWinograd / kIm2col by geometry,
-//     plus fast_act for mish convs.
+//     plus fast_act for mish convs. With int8=true (latched from
+//     THALI_INT8 by Network::Finalize) every 1x1 conv and every
+//     unpinned 3x3/pad-1 conv at stride 1 or 2 is marked int8_eligible,
+//     and an eligible conv that is armed (batch norm folded, range
+//     installed) gets kQuantInt8Direct1x1 / kQuantInt8 instead.
 //  3. Copy elision: route layers whose
 //     sources can legally alias arena storage are folded away — a
 //     group-split route becomes a view into its source, a concat route
@@ -229,8 +240,6 @@ struct ExecPlan {
 // Elision requires layout-uniform members and (kCNHW or batch == 1) so
 // a member's storage is one contiguous range. Requires every layer to
 // be configured (shapes known).
-// With int8=true (latched from THALI_INT8 by Network::Finalize), step 2
-// upgrades eligible Winograd-geometry convs to kQuantInt8.
 ExecPlan CompileExecPlan(const Network& net, bool fuse, bool int8 = false);
 
 // Liveness-based first-fit arena planning over the network DAG. A
@@ -243,9 +252,10 @@ ExecPlan CompileExecPlan(const Network& net, bool fuse, bool int8 = false);
 // Requires every layer to be configured (shapes known).
 ArenaPlan PlanActivationArena(const Network& net);
 
-// False when THALI_NO_FUSE=1 (or a testing override) disables the
-// inference plan compiler's fused paths. Network::Finalize latches the
-// value, so later SetBatch re-plans keep the same decision.
+// False only while internal::SetFusionForTesting(0) disables the
+// inference plan compiler's fused paths (the reference plan, kept as a
+// test and bench oracle). Network::Finalize latches the value, so later
+// SetBatch re-plans keep the same decision.
 bool FusionEnabled();
 
 // True when THALI_INT8 opts the int8 conv path in (set and not "0").
@@ -255,13 +265,8 @@ bool Int8Enabled();
 
 namespace internal {
 
-// Force fusion on (1) / off (0) or restore the THALI_NO_FUSE
-// environment default (-1).
+// Force fusion on (1) / off (0) or restore the default, on (-1).
 void SetFusionForTesting(int enabled);
-
-// True when the given THALI_NO_FUSE value disables fusion (any
-// non-empty string except "0").
-bool NoFuseEnvValueDisables(const char* value);
 
 // Force int8 on (1) / off (0) or restore the THALI_INT8 environment
 // default (-1).

@@ -88,8 +88,8 @@ class Layer {
 
   // Gives layers with GEMM weights a chance to pre-pack them into the
   // microkernel panel layout (inference-mode networks call this from
-  // Network::Finalize; layers re-pack lazily after weight mutations).
-  // Default: nothing to pack.
+  // Network::Finalize and ReplanInference; layers re-pack lazily after
+  // weight mutations). Default: nothing to pack.
   virtual void PrepackWeights() {}
 
   // --- Dataflow hooks for the activation arena planner. Valid after

@@ -37,22 +37,8 @@ Status Network::Finalize(ExecMode mode) {
     THALI_RETURN_IF_ERROR(layer->Configure(prev, *this));
     prev = layer->output_shape();
   }
-  PlanBuffers();
-  // Workspace sizing happens after the plan is compiled: a layer's
-  // scratch need depends on its planned conv algorithm (im2col panels
-  // vs Winograd transform buffers).
-  int64_t max_ws = 0;
-  for (auto& layer : layers_) {
-    max_ws = std::max(max_ws, layer->WorkspaceSize());
-  }
-  workspace_floats_ = max_ws;
   workspaces_.resize(static_cast<size_t>(MaxParallelism()));
-  for (Tensor& ws : workspaces_) ws.Resize(Shape({max_ws}));
-  if (mode_ == ExecMode::kInference) {
-    // Pack GEMM weights into microkernel panel layout up front. Layers
-    // re-pack lazily if weights change afterwards (loading, BN folding).
-    for (auto& layer : layers_) layer->PrepackWeights();
-  }
+  PlanBuffers();
   finalized_ = true;
   return Status::OK();
 }
@@ -67,19 +53,8 @@ Status Network::SetBatch(int batch) {
     THALI_RETURN_IF_ERROR(layer->Rebatch(prev, *this));
     prev = layer->output_shape();
   }
-  // Re-compile the plan first — batch size changes which copy elisions
-  // are legal — then re-derive workspace needs under the fresh plan
-  // (grow-only; per-item scratch is batch-independent for every
-  // current layer, but a re-plan could in principle change algorithms).
+  // Batch size changes which copy elisions are legal: recompile.
   PlanBuffers();
-  int64_t max_ws = 0;
-  for (auto& layer : layers_) {
-    max_ws = std::max(max_ws, layer->WorkspaceSize());
-  }
-  if (max_ws > workspace_floats_) {
-    workspace_floats_ = max_ws;
-    for (Tensor& ws : workspaces_) ws.Resize(Shape({max_ws}));
-  }
   return Status::OK();
 }
 
@@ -87,17 +62,6 @@ Status Network::ReplanInference() {
   THALI_CHECK(finalized_) << "ReplanInference before Finalize";
   if (mode_ != ExecMode::kInference) return Status::OK();
   PlanBuffers();
-  // Grow-only workspace re-derivation, like SetBatch: a freshly chained
-  // plan can change per-layer scratch needs (e.g. a conv that now skips
-  // its fp32 im2col panel never needs MORE, but keep the general form).
-  int64_t max_ws = 0;
-  for (auto& layer : layers_) {
-    max_ws = std::max(max_ws, layer->WorkspaceSize());
-  }
-  if (max_ws > workspace_floats_) {
-    workspace_floats_ = max_ws;
-    for (Tensor& ws : workspaces_) ws.Resize(Shape({max_ws}));
-  }
   return Status::OK();
 }
 
@@ -140,6 +104,20 @@ void Network::PlanBuffers() {
   // Plan-derived layer state (conv int8 workspace sections) recomputes
   // once here instead of per Forward.
   for (auto& layer : layers_) layer->OnPlanUpdated();
+  // A layer's scratch need depends on its planned conv algorithm (im2col
+  // panels, Winograd transform buffers, int8 byte sections). Grow-only.
+  int64_t max_ws = 0;
+  for (auto& layer : layers_) {
+    max_ws = std::max(max_ws, layer->WorkspaceSize());
+  }
+  if (max_ws > workspace_floats_) {
+    workspace_floats_ = max_ws;
+    for (Tensor& ws : workspaces_) ws.Resize(Shape({max_ws}));
+  }
+  // Pack the weight copy each planned algo runs from up front (a no-op
+  // for training layers and current packs); layers re-pack lazily after
+  // later weight changes (loading, BN folding).
+  for (auto& layer : layers_) layer->PrepackWeights();
   if (mode_ != ExecMode::kInference) return;  // SetShapes owns the buffers
   // Slots are 16-float (64-byte) aligned relative to the arena base, but
   // vector<float> storage only guarantees 16 bytes — over-allocate and

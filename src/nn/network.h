@@ -47,13 +47,14 @@ class Network {
   Status SetBatch(int batch);
 
   // Recompiles the execution plan of a finalized inference network
-  // without touching shapes. Quantize-once chaining depends on
-  // calibration state the plan compiler reads from the conv layers, so
-  // this must run after Detector::CalibrateInt8 / LoadCalibration
-  // install activation ranges (to pick the chains up) and after
-  // ResetCalibration drops them (a chained conv has no fp32 fallback).
-  // No-op outside THALI_INT8 inference. Grows workspaces if the fresh
-  // plan needs more scratch.
+  // without touching shapes. Which convs run int8, and the quantize-once
+  // chains between them, depend on calibration state the plan compiler
+  // reads from the conv layers, so this must run after ranges are
+  // installed or batch norm is folded (to arm the convs) and after
+  // ResetCalibration drops ranges (the int8 kernels abort on an
+  // uncalibrated conv). CalibrateInt8Ranges, LoadCalibration and
+  // Detector::FuseBatchNorm call it. A no-op for training networks.
+  // Grows workspaces if the fresh plan needs more scratch.
   Status ReplanInference();
 
   // Runs all layers; returns the last layer's output. `input` must be
@@ -94,11 +95,13 @@ class Network {
   ExecMode exec_mode() const { return mode_; }
 
   // THALI_INT8 opt-in, latched at Finalize like the fuse knob.
-  // When false the plan compiler never emits kQuantInt8.
+  // When false the plan compiler marks no conv int8-eligible.
   bool int8_enabled() const { return int8_enabled_; }
 
-  // Active calibration pass. Conv layers consult this in Forward: any
-  // phase other than kOff forces the fp32 path and records statistics.
+  // Active calibration pass. While a phase other than kOff is set,
+  // int8-eligible convs record input statistics in Forward. The passes
+  // run on an fp32 plan (CalibrateInt8Ranges replans before them); an
+  // int8 kernel aborts under an active phase.
   CalibPhase calib_phase() const { return calib_phase_; }
   void set_calib_phase(CalibPhase phase) { calib_phase_ = phase; }
 
@@ -121,8 +124,9 @@ class Network {
 
   // The full execution plan (per-layer layouts, conv algorithms, copy
   // elisions) the inference plan compiler produced at Finalize/SetBatch.
-  // Training networks and THALI_NO_FUSE inference get the reference
-  // plan (fused == false, all LayerPlans default).
+  // Training networks, and inference networks finalized under
+  // internal::SetFusionForTesting(0), get the reference plan
+  // (fused == false, all LayerPlans default).
   const ExecPlan& exec_plan() const { return eplan_; }
 
   // Bytes of activation buffers this network holds live: outputs plus
@@ -180,9 +184,10 @@ class Network {
   bool finalized() const { return finalized_; }
 
  private:
-  // (Re)plans output storage: compiles the execution plan and, for
-  // inference networks, binds every layer output into arena_. Training
-  // layers keep the owned outputs SetShapes gave them.
+  // (Re)plans: compiles the execution plan, grows the workspaces and
+  // packs weights for it and, for inference networks, binds every layer
+  // output into arena_. Training layers keep the owned outputs
+  // SetShapes gave them.
   void PlanBuffers();
 
   int width_;
@@ -190,8 +195,8 @@ class Network {
   int channels_;
   int batch_;
   ExecMode mode_ = ExecMode::kTraining;
-  // THALI_NO_FUSE, sampled once at Finalize so later SetBatch re-plans
-  // keep the same decision.
+  // !FusionEnabled(), sampled once at Finalize so later SetBatch
+  // re-plans keep the same decision.
   bool fuse_disabled_ = false;
   // THALI_INT8, sampled once at Finalize (opt-in, so the default is off).
   bool int8_enabled_ = false;

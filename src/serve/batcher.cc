@@ -30,6 +30,7 @@ bool Batcher::ExpireIfLate(RequestPtr* req, ServeClock::time_point now) {
   metrics_->e2e_ms.Record(ToMs(now - (*req)->submit_time));
   (*req)->promise.set_value(
       Status::DeadlineExceeded("deadline expired while queued"));
+  if ((*req)->on_done) (*req)->on_done();
   req->reset();
   return true;
 }

@@ -2,6 +2,7 @@
 #define THALI_SERVE_BATCHER_H_
 
 #include <chrono>
+#include <functional>
 #include <future>
 #include <memory>
 #include <vector>
@@ -28,6 +29,7 @@ struct Request {
   ServeClock::time_point deadline = ServeClock::time_point::max();
   Priority priority = Priority::kInteractive;
   std::promise<StatusOr<std::vector<Detection>>> promise;
+  std::function<void()> on_done;  // run once promise is set (Submit)
 };
 
 using RequestPtr = std::unique_ptr<Request>;

@@ -150,7 +150,7 @@ Status Server::Admit(Priority priority, ServeClock::time_point deadline,
 }
 
 StatusOr<std::future<Server::Result>> Server::Submit(
-    Image image, const SubmitOptions& submit) {
+    Image image, const SubmitOptions& submit, std::function<void()> on_done) {
   metrics_.submitted.fetch_add(1, std::memory_order_relaxed);
   ServerMetrics::PerClass& cls = metrics_.ForClass(submit.priority);
   cls.submitted.fetch_add(1, std::memory_order_relaxed);
@@ -169,6 +169,7 @@ StatusOr<std::future<Server::Result>> Server::Submit(
   req->submit_time = now;
   req->deadline = submit.deadline;
   req->priority = submit.priority;
+  req->on_done = std::move(on_done);
   std::future<Result> future = req->promise.get_future();
   Status pushed = queue_.TryPush(std::move(req), submit.priority);
   if (!pushed.ok()) {
@@ -251,6 +252,7 @@ void Server::WorkerLoop(Detector* detector) {
       cls.completed.fetch_add(1, std::memory_order_relaxed);
       cls.completed_e2e_ms.Record(e2e);
       batch[i]->promise.set_value(std::move(results[i]));
+      if (batch[i]->on_done) batch[i]->on_done();
     }
   }
 }

@@ -108,9 +108,14 @@ class Server {
   // Full-control overload: deadline + priority class. Admission control
   // (when enabled) runs here; a shed request returns kResourceExhausted
   // (pressure shed) or kDeadlineExceeded (estimated wait exceeds the
-  // deadline budget) without ever occupying a queue slot.
+  // deadline budget) without ever occupying a queue slot. `on_done`, if
+  // set, runs on the thread that completes the request right after its
+  // future turns ready (with detections or an error), so an event loop
+  // can wake on completions instead of polling; it never runs for a
+  // rejected Submit, and must be cheap and must not block.
   StatusOr<std::future<Result>> Submit(Image image,
-                                       const SubmitOptions& submit);
+                                       const SubmitOptions& submit,
+                                       std::function<void()> on_done = {});
 
   // Stages a new weights file and bumps the weights generation: each
   // worker notices between batches and reloads its private Detector

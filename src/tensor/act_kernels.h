@@ -21,7 +21,7 @@ namespace thali {
 // hosts with and without AVX2.
 //
 // Numerical contract vs src/nn/activation.cc (the libm reference used
-// by training and by THALI_NO_FUSE inference):
+// by training and by the reference inference plan):
 //  - Leaky / ReLU: bitwise identical (same compare-and-scale formulas).
 //  - Mish: x * tanh(softplus(x)) is evaluated through the algebraic
 //    identity mish(x) = x * E(E+2) / (E(E+2)+2) with E = exp(x), using

@@ -210,11 +210,6 @@ void Gemm(bool ta, bool tb, int64_t m, int64_t n, int64_t k, float alpha,
              b, ldb, beta, c, ldc, /*epilogue=*/nullptr);
 }
 
-void MatMulAccumulate(int64_t m, int64_t n, int64_t k, const float* a,
-                      const float* b, float* c) {
-  Gemm(false, false, m, n, k, 1.0f, a, k, b, n, 1.0f, c, n);
-}
-
 void GemmPackWeights(const float* a, int64_t m, int64_t k, float* packed) {
   GemmPackMatrixA(/*trans_a=*/false, a, /*lda=*/k, m, k, /*alpha=*/1.0f,
                   packed);

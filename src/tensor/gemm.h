@@ -20,10 +20,6 @@ void Gemm(bool ta, bool tb, int64_t m, int64_t n, int64_t k, float alpha,
           const float* a, int64_t lda, const float* b, int64_t ldb, float beta,
           float* c, int64_t ldc);
 
-// Convenience wrapper: C[MxN] += A[MxK] * B[KxN], all tightly packed.
-void MatMulAccumulate(int64_t m, int64_t n, int64_t k, const float* a,
-                      const float* b, float* c);
-
 // Optional fused write-back for GemmPrepacked. kLeaky/kRelu replicate,
 // element for element, the conv layer's post-GEMM passes (bias add, then
 // leaky/ReLU), so fusing them into the GEMM's C traversal is

@@ -34,11 +34,6 @@ namespace thali {
 // Padded depth shared by the weight rows and the packed activations.
 inline int64_t Int8PackedK(int64_t k) { return (k + 3) / 4 * 4; }
 
-// Bytes of a quantized weight blob: m rows of kp bytes.
-inline int64_t Int8PackedWeightBytes(int64_t m, int64_t k) {
-  return m * Int8PackedK(k);
-}
-
 // Quantizes the row-major m x k weight matrix: per-row symmetric scale
 // s_w[f] = maxabs(row f)/127, round-to-nearest-even, k padded to kp with
 // zeros. Also emits colsum[f] over the quantized row.

@@ -207,7 +207,10 @@ TEST(SummaryTest, ListsEveryLayerAndTotals) {
 class WeightsIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = testing::TempDir() + "/thali_weights_test.weights";
+    // One file per test: ctest -j runs these cases concurrently.
+    path_ = testing::TempDir() + "/thali_weights_test_" +
+            testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".weights";
   }
   void TearDown() override { std::remove(path_.c_str()); }
   std::string path_;

@@ -249,10 +249,12 @@ TEST(ArenaPlanTest, FullModelFusedMatchesReferenceWithinTolerance) {
   }
 }
 
-TEST(ExecPlanTest, NoFuseEnvVarDisablesFusedPlan) {
-  ASSERT_EQ(setenv("THALI_NO_FUSE", "1", 1), 0);
+// Fusion off yields the reference plan, the oracle the fused plan is
+// pinned against.
+TEST(ExecPlanTest, FusionOverrideDisablesFusedPlan) {
+  internal::SetFusionForTesting(0);
   BuiltNetwork gated = BuildThali(ExecMode::kInference, 1);
-  ASSERT_EQ(unsetenv("THALI_NO_FUSE"), 0);
+  internal::SetFusionForTesting(-1);
   BuiltNetwork fused = BuildThali(ExecMode::kInference, 1);
 
   EXPECT_FALSE(gated.net->exec_plan().fused);
@@ -265,18 +267,10 @@ TEST(ExecPlanTest, NoFuseEnvVarDisablesFusedPlan) {
     EXPECT_FALSE(lp.copy_elided);
     EXPECT_FALSE(lp.fast_act);
   }
-  // Latched at Finalize: SetBatch after the env var is gone must not
-  // silently re-enable fusion.
+  // Latched at Finalize: SetBatch after the override is restored must
+  // not silently re-enable fusion.
   ASSERT_TRUE(gated.net->SetBatch(2).ok());
   EXPECT_FALSE(gated.net->exec_plan().fused);
-}
-
-TEST(ExecPlanTest, NoFuseEnvValueParsing) {
-  EXPECT_FALSE(internal::NoFuseEnvValueDisables(nullptr));
-  EXPECT_FALSE(internal::NoFuseEnvValueDisables(""));
-  EXPECT_FALSE(internal::NoFuseEnvValueDisables("0"));
-  EXPECT_TRUE(internal::NoFuseEnvValueDisables("1"));
-  EXPECT_TRUE(internal::NoFuseEnvValueDisables("yes"));
 }
 
 // The fused yolov4-thali plan picks the specialized conv paths the

@@ -27,6 +27,7 @@
 #include "darknet/cfg.h"
 #include "darknet/weights_io.h"
 #include "darknet/model_zoo.h"
+#include "darknet/summary.h"
 #include "data/dataset.h"
 #include "data/food_classes.h"
 #include "nn/conv_layer.h"
@@ -352,68 +353,6 @@ BuiltNetwork BuildThali(int int8_mode) {
   return std::move(built).value();
 }
 
-TEST_F(Int8Test, PlanSelectsInt8OnlyForEligibleUnpinnedConvs) {
-  BuiltNetwork built = BuildThali(1);
-  const Network& net = *built.net;
-  ASSERT_TRUE(net.int8_enabled());
-  ASSERT_TRUE(net.exec_plan().fused);
-  int quantized_3x3 = 0, quantized_1x1 = 0, quantized_s2 = 0, head_feeders = 0;
-  for (int i = 0; i < net.num_layers(); ++i) {
-    if (std::string_view(net.layer(i).kind()) != "convolutional") continue;
-    const auto& conv = static_cast<const ConvLayer&>(net.layer(i));
-    const ConvLayer::Options& o = conv.options();
-    const LayerPlan& lp = net.exec_plan().layers[static_cast<size_t>(i)];
-    if (o.ksize == 3 && o.stride == 1 && o.pad == 1) {
-      // Winograd geometry: int8 unless the output is NCHW-pinned, which
-      // must stay fp32 Winograd (in yolov4-thali no 3x3 conv is pinned,
-      // so every one quantizes).
-      if (lp.out_layout == ActLayout::kCNHW) {
-        EXPECT_EQ(lp.conv_algo, ConvAlgo::kQuantInt8) << "layer " << i;
-        ++quantized_3x3;
-      } else {
-        EXPECT_EQ(lp.conv_algo, ConvAlgo::kWinograd) << "layer " << i;
-      }
-    } else if (o.ksize == 1 && o.stride == 1 && o.pad == 0) {
-      // Every 1x1 quantizes, layout pins included — the int8 GEMM reads
-      // through strides like kDirect1x1, so even the NCHW-pinned head
-      // feeders take the quantized algorithm (their fp32 output is the
-      // dequant edge into the yolo heads).
-      EXPECT_EQ(lp.conv_algo, ConvAlgo::kQuantInt8Direct1x1) << "layer " << i;
-      ++quantized_1x1;
-      if (lp.out_layout == ActLayout::kNCHW) ++head_feeders;
-    } else if (o.ksize == 3 && o.stride == 2 && o.pad == 1) {
-      // Downsampling stem convs: the u8 im2col walks any stride, so
-      // these quantize too (they demote to plain im2col — no Winograd
-      // form at stride 2 — when int8 is inactive at runtime).
-      EXPECT_EQ(lp.conv_algo, ConvAlgo::kQuantInt8) << "layer " << i;
-      ++quantized_s2;
-    } else {
-      EXPECT_NE(lp.conv_algo, ConvAlgo::kQuantInt8) << "layer " << i;
-      EXPECT_NE(lp.conv_algo, ConvAlgo::kQuantInt8Direct1x1) << "layer " << i;
-    }
-  }
-  EXPECT_EQ(quantized_3x3, 13);  // every 3x3/s1/p1 conv of the model
-  EXPECT_EQ(quantized_1x1, 10);  // every 1x1 conv, head feeders included
-  EXPECT_EQ(quantized_s2, 2);    // the stride-2 stem convs 0-1
-  EXPECT_EQ(head_feeders, 3);    // one per detection head
-
-  // Before calibration no dtype chain exists: every edge is fp32.
-  EXPECT_EQ(net.exec_plan().chained_edges, 0);
-  EXPECT_FALSE(net.exec_plan().input_u8);
-  for (const LayerPlan& lp : net.exec_plan().layers) {
-    EXPECT_EQ(lp.out_dtype, DType::kF32);
-    EXPECT_EQ(lp.in_dtype, DType::kF32);
-  }
-
-  // Int8 off: the plan must contain no quantized entry at all.
-  BuiltNetwork off = BuildThali(0);
-  EXPECT_FALSE(off.net->int8_enabled());
-  for (const LayerPlan& lp : off.net->exec_plan().layers) {
-    EXPECT_NE(lp.conv_algo, ConvAlgo::kQuantInt8);
-    EXPECT_NE(lp.conv_algo, ConvAlgo::kQuantInt8Direct1x1);
-  }
-}
-
 // Full thali forward on fixed input; heads flattened for comparison.
 std::vector<float> HeadOutputs(BuiltNetwork& built) {
   Tensor input(built.net->input_shape());
@@ -440,34 +379,109 @@ TEST_F(Int8Test, Int8OffIsBitwiseIdenticalToDefaultFusedPlan) {
   EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
 }
 
-// Folds batch norm on every conv and calibrates the int8 layers of an
-// armed-plan network with one min/max pass over `input`, then replans
-// so quantize-once chains take effect. Returns the number of convs
+// Calibrates the int8-eligible convs of `net` (folding batch norm) with
+// one min/max pass over `input`, then replans so the armed convs and
+// their quantize-once chains take effect. Returns the number of convs
 // armed.
 int FoldAndCalibrate(Network& net, const Tensor& input) {
+  return CalibrateInt8Ranges(net, 100.0, [&] {
+    Tensor in = input;
+    net.Forward(in, /*train=*/false);
+  });
+}
+
+// Counts the convs of `net` by geometry class, asserting each one's
+// plan entry: int8-eligible convs run `quantized` algos when `armed`
+// and the fp32 algo of their geometry before that.
+struct Int8PlanCounts {
+  int s1_3x3 = 0, direct_1x1 = 0, s2_3x3 = 0, head_feeders = 0;
+};
+Int8PlanCounts CheckInt8Plan(const Network& net, bool armed) {
+  Int8PlanCounts c;
   for (int i = 0; i < net.num_layers(); ++i) {
-    if (std::string_view(net.layer(i).kind()) == "convolutional") {
-      static_cast<ConvLayer&>(net.layer(i)).FoldBatchNorm();
+    if (std::string_view(net.layer(i).kind()) != "convolutional") continue;
+    const auto& conv = static_cast<const ConvLayer&>(net.layer(i));
+    const ConvLayer::Options& o = conv.options();
+    const LayerPlan& lp = net.exec_plan().layers[static_cast<size_t>(i)];
+    if (o.ksize == 3 && o.stride == 1 && o.pad == 1) {
+      // Winograd geometry: eligible unless the output is NCHW-pinned,
+      // which must stay fp32 Winograd (in yolov4-thali no 3x3 conv is
+      // pinned, so every one quantizes once armed).
+      if (lp.out_layout == ActLayout::kCNHW) {
+        EXPECT_TRUE(lp.int8_eligible) << "layer " << i;
+        EXPECT_EQ(lp.conv_algo,
+                  armed ? ConvAlgo::kQuantInt8 : ConvAlgo::kWinograd)
+            << "layer " << i;
+        ++c.s1_3x3;
+      } else {
+        EXPECT_FALSE(lp.int8_eligible) << "layer " << i;
+        EXPECT_EQ(lp.conv_algo, ConvAlgo::kWinograd) << "layer " << i;
+      }
+    } else if (o.ksize == 1 && o.stride == 1 && o.pad == 0) {
+      // Every 1x1 is eligible, layout pins included — the int8 GEMM
+      // reads through strides like kDirect1x1, so even the NCHW-pinned
+      // head feeders quantize (their fp32 output is the dequant edge
+      // into the yolo heads).
+      EXPECT_TRUE(lp.int8_eligible) << "layer " << i;
+      EXPECT_EQ(lp.conv_algo, armed ? ConvAlgo::kQuantInt8Direct1x1
+                                    : ConvAlgo::kDirect1x1)
+          << "layer " << i;
+      ++c.direct_1x1;
+      if (lp.out_layout == ActLayout::kNCHW) ++c.head_feeders;
+    } else if (o.ksize == 3 && o.stride == 2 && o.pad == 1) {
+      // Downsampling stem convs: the u8 im2col walks any stride, so
+      // these quantize too; unarmed they run plain im2col (no Winograd
+      // form at stride 2).
+      EXPECT_TRUE(lp.int8_eligible) << "layer " << i;
+      EXPECT_EQ(lp.conv_algo,
+                armed ? ConvAlgo::kQuantInt8 : ConvAlgo::kIm2col)
+          << "layer " << i;
+      ++c.s2_3x3;
+    } else {
+      EXPECT_FALSE(lp.int8_eligible) << "layer " << i;
+      EXPECT_FALSE(IsInt8Algo(lp.conv_algo)) << "layer " << i;
     }
   }
-  net.set_calib_phase(CalibPhase::kRange);
-  Tensor in = input;
-  net.Forward(in, /*train=*/false);
-  net.set_calib_phase(CalibPhase::kOff);
-  int armed = 0;
-  for (int i = 0; i < net.num_layers(); ++i) {
-    Layer& l = net.layer(i);
-    if (std::string_view(l.kind()) != "convolutional") continue;
-    if (l.plan().conv_algo != ConvAlgo::kQuantInt8 &&
-        l.plan().conv_algo != ConvAlgo::kQuantInt8Direct1x1) {
-      continue;
+  return c;
+}
+
+TEST_F(Int8Test, PlanSelectsInt8OnlyForEligibleUnpinnedConvs) {
+  BuiltNetwork built = BuildThali(1);
+  Network& net = *built.net;
+  ASSERT_TRUE(net.int8_enabled());
+  ASSERT_TRUE(net.exec_plan().fused);
+  for (const bool armed : {false, true}) {
+    if (armed) {
+      Tensor input(net.input_shape());
+      Rng irng(17);
+      for (int64_t i = 0; i < input.size(); ++i) {
+        input[i] = irng.NextGaussian();
+      }
+      ASSERT_EQ(FoldAndCalibrate(net, input), 25);
     }
-    auto& conv = static_cast<ConvLayer&>(l);
-    conv.FinalizeCalibration(100.0);
-    if (conv.has_activation_range()) ++armed;
+    const Int8PlanCounts c = CheckInt8Plan(net, armed);
+    EXPECT_EQ(c.s1_3x3, 13);      // every 3x3/s1/p1 conv of the model
+    EXPECT_EQ(c.direct_1x1, 10);  // every 1x1 conv, head feeders included
+    EXPECT_EQ(c.s2_3x3, 2);       // the stride-2 stem convs 0-1
+    EXPECT_EQ(c.head_feeders, 3);  // one per detection head
+    if (armed) break;
+
+    // Before calibration no dtype chain exists: every edge is fp32.
+    EXPECT_EQ(net.exec_plan().chained_edges, 0);
+    EXPECT_FALSE(net.exec_plan().input_u8);
+    for (const LayerPlan& lp : net.exec_plan().layers) {
+      EXPECT_EQ(lp.out_dtype, DType::kF32);
+      EXPECT_EQ(lp.in_dtype, DType::kF32);
+    }
   }
-  THALI_CHECK_OK(net.ReplanInference());
-  return armed;
+
+  // Int8 off: no conv is eligible and no plan entry is quantized.
+  BuiltNetwork off = BuildThali(0);
+  EXPECT_FALSE(off.net->int8_enabled());
+  for (const LayerPlan& lp : off.net->exec_plan().layers) {
+    EXPECT_FALSE(lp.int8_eligible);
+    EXPECT_FALSE(IsInt8Algo(lp.conv_algo));
+  }
 }
 
 TEST_F(Int8Test, Int8ForwardRunsQuantizedAndTracksFp32) {
@@ -575,7 +589,7 @@ TEST_F(Int8Test, ReplanAfterCalibrationChainsMajorityOfThali) {
   for (const LayerPlan& lp : int8.net->exec_plan().layers) {
     EXPECT_EQ(lp.out_dtype, DType::kF32);
   }
-  // And the fp32 fallbacks still forward cleanly.
+  // And the recompiled fp32 plan still forwards cleanly.
   const std::vector<float> out = HeadOutputs(int8);
   EXPECT_FALSE(out.empty());
 }
@@ -696,6 +710,137 @@ TEST_F(Int8Test, CalibrationRoundTripsThroughFile) {
   THALI_CHECK_OK(WriteStringToFile(bad, "THALICAL\x01"));
   BuiltNetwork c = BuildThali(1);
   EXPECT_FALSE(LoadCalibration(*c.net, bad).ok());
+}
+
+// Every conv's (has range, min, max), for bitwise before/after checks.
+std::vector<std::array<float, 3>> ConvRanges(const Network& net) {
+  std::vector<std::array<float, 3>> out;
+  for (int i = 0; i < net.num_layers(); ++i) {
+    if (std::string_view(net.layer(i).kind()) != "convolutional") continue;
+    const auto& conv = static_cast<const ConvLayer&>(net.layer(i));
+    out.push_back({conv.has_activation_range() ? 1.0f : 0.0f,
+                   conv.activation_range_min(), conv.activation_range_max()});
+  }
+  return out;
+}
+
+TEST_F(Int8Test, LoadCalibrationIsAllOrNothing) {
+  BuiltNetwork a = BuildThali(1);
+  Tensor input(a.net->input_shape());
+  Rng irng(31);
+  for (int64_t i = 0; i < input.size(); ++i) input[i] = irng.NextGaussian();
+  ASSERT_GT(FoldAndCalibrate(*a.net, input), 2);
+  const std::string path = ::testing::TempDir() + "thali_int8_atomic.cal";
+  THALI_CHECK_OK(SaveCalibration(*a.net, path));
+  auto saved = ReadFileToString(path);
+  THALI_CHECK_OK(saved.status());
+
+  // THALICAL: 16 header bytes, then 12-byte {int32 layer, f32 min, f32
+  // max} entries. Doubling a range makes any entry that does get
+  // installed visible in the ranges.
+  constexpr size_t kHeader = 16, kEntry = 12;
+  const auto double_range = [&](std::string& bytes, size_t e) {
+    for (size_t off : {size_t{4}, size_t{8}}) {
+      float v;
+      std::memcpy(&v, bytes.data() + kHeader + e * kEntry + off, sizeof(v));
+      v *= 2.0f;
+      std::memcpy(bytes.data() + kHeader + e * kEntry + off, &v, sizeof(v));
+    }
+  };
+  const size_t entries = (saved->size() - kHeader) / kEntry;
+  std::string doubled = *saved;
+  for (size_t e = 0; e < entries; ++e) double_range(doubled, e);
+  // Entries 0 and 1 valid, entry 2 names a layer the network lacks.
+  std::string bad_entry = doubled;
+  const int32_t bad_layer = a.net->num_layers();
+  std::memcpy(bad_entry.data() + kHeader + 2 * kEntry, &bad_layer,
+              sizeof(bad_layer));
+  // Every entry valid, four stray bytes after the last.
+  const std::string trailing = doubled + std::string(4, '\0');
+
+  const std::vector<std::array<float, 3>> ranges = ConvRanges(*a.net);
+  const std::vector<float> heads = HeadOutputs(a);
+  for (const std::string& bytes : {bad_entry, trailing}) {
+    const std::string bad = ::testing::TempDir() + "thali_int8_atomic_bad.cal";
+    THALI_CHECK_OK(WriteStringToFile(bad, bytes));
+    EXPECT_FALSE(LoadCalibration(*a.net, bad).ok());
+    EXPECT_EQ(ConvRanges(*a.net), ranges);
+    const std::vector<float> after = HeadOutputs(a);
+    ASSERT_EQ(after.size(), heads.size());
+    EXPECT_EQ(
+        std::memcmp(after.data(), heads.data(), heads.size() * sizeof(float)),
+        0);
+  }
+
+  // The same doubled entries in a well-formed file do load and change
+  // the ranges, so the checks above are not vacuous.
+  const std::string good = ::testing::TempDir() + "thali_int8_atomic_ok.cal";
+  THALI_CHECK_OK(WriteStringToFile(good, doubled));
+  auto loaded = LoadCalibration(*a.net, good);
+  THALI_CHECK_OK(loaded.status());
+  EXPECT_EQ(*loaded, static_cast<int>(entries));
+  EXPECT_NE(ConvRanges(*a.net), ranges);
+}
+
+TEST_F(Int8Test, ArmedConvsHoldOnlyInt8Weights) {
+  internal::SetInt8ForTesting(1);
+  auto det = Detector::FromCfg(YoloThaliCfg(YoloThaliOptions{}));
+  internal::SetInt8ForTesting(-1);
+  THALI_CHECK_OK(det.status());
+  DatasetSpec spec;
+  spec.num_images = 4;
+  spec.seed = 99;
+  const FoodDataset ds = FoodDataset::Generate(IndianFood10(), spec);
+  const int armed =
+      det->CalibrateInt8(ds, std::span<const int>(ds.train_indices()));
+  ASSERT_EQ(armed, 25);
+  const auto check = [&](const char* when) {
+    const Network& net = det->network();
+    int int8_convs = 0;
+    for (int i = 0; i < net.num_layers(); ++i) {
+      if (std::string_view(net.layer(i).kind()) != "convolutional") continue;
+      const auto& conv = static_cast<const ConvLayer&>(net.layer(i));
+      if (!IsInt8Algo(conv.plan().conv_algo)) {
+        EXPECT_EQ(conv.int8_weight_bytes(), 0) << when << " layer " << i;
+        continue;
+      }
+      ++int8_convs;
+      // No GEMM A panels and no Winograd U panels: the int8 rows are
+      // the conv's only packed weights.
+      EXPECT_EQ(conv.packed_weight_bytes(), 0) << when << " layer " << i;
+      EXPECT_GT(conv.int8_weight_bytes(), 0) << when << " layer " << i;
+    }
+    EXPECT_EQ(int8_convs, armed) << when;
+  };
+  check("after calibration");
+  det->Detect(ds.item(ds.val_indices().at(0)).image, 0.25f, 0.45f);
+  check("after a detect");
+}
+
+TEST_F(Int8Test, SummaryShowsEligibleConvsAsF32UntilArmed) {
+  BuiltNetwork built = BuildThali(1);
+  Network& net = *built.net;
+  // Before calibration the 25 eligible convs run their fp32 algos.
+  const std::string before = NetworkSummary(net);
+  EXPECT_EQ(before.find("f32*"), std::string::npos) << before;
+  EXPECT_NE(before.find("0 of 25 eligible conv layers quantized"),
+            std::string::npos)
+      << before;
+  Tensor input(net.input_shape());
+  Rng irng(5);
+  for (int64_t i = 0; i < input.size(); ++i) input[i] = irng.NextGaussian();
+  ASSERT_EQ(FoldAndCalibrate(net, input), 25);
+  const std::string after = NetworkSummary(net);
+  EXPECT_EQ(after.find("f32*"), std::string::npos) << after;
+  EXPECT_NE(after.find("25 of 25 eligible conv layers quantized"),
+            std::string::npos)
+      << after;
+  int i8_rows = 0;
+  for (size_t pos = after.find(" i8 "); pos != std::string::npos;
+       pos = after.find(" i8 ", pos + 1)) {
+    ++i8_rows;
+  }
+  EXPECT_EQ(i8_rows, 25);
 }
 
 TEST_F(Int8Test, CalibrateInt8KeepsMapWithinOnePointOfFp32) {

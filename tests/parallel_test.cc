@@ -239,7 +239,7 @@ TEST_F(ParallelTest, PackedGemmBitwiseIdenticalAcrossThreadsAndPaths) {
 // through the fused bias+activation GEMM epilogue; a kTraining network
 // runs the same folded convs as a plain Gemm followed by the staged
 // bias and activation passes. `fuse` is the SetFusionForTesting value
-// the network is built under (-1: environment default).
+// the network is built under (-1: the default, fused).
 std::vector<float> ThaliInferenceForward(
     int threads, bool fold_bn, ExecMode mode = ExecMode::kInference,
     int fuse = -1) {
@@ -314,8 +314,8 @@ TEST_F(ParallelTest, FoldedThaliInferenceBitwiseIdenticalWithFusedEpilogue) {
 
 // Full yolov4-thali int8 inference: builds with int8 latched (and
 // optionally fusion disabled, where int8 must become a no-op), folds
-// batch norm, min/max-calibrates every quantized-algo conv on the test
-// input, replans so the quantize-once chains arm, then forwards through
+// batch norm, min/max-calibrates every int8-eligible conv on the test
+// input, replans so the armed convs and their chains run, then forwards through
 // a SetBatch(1 -> 4 -> 1) cycle with the given kernel family forced. Returns the final batch-1 head
 // activations flattened for bitwise comparison.
 std::vector<float> ThaliInt8Forward(int threads, const char* kernel,
@@ -331,32 +331,16 @@ std::vector<float> ThaliInt8Forward(int threads, const char* kernel,
   internal::SetInt8ForTesting(-1);
   THALI_CHECK_OK(built.status());
   Network& net = *built->net;
-  for (int i = 0; i < net.num_layers(); ++i) {
-    if (std::string_view(net.layer(i).kind()) == "convolutional") {
-      static_cast<ConvLayer&>(net.layer(i)).FoldBatchNorm();
-    }
-  }
   Tensor input(net.input_shape());
   Rng irng(17);
   for (int64_t i = 0; i < input.size(); ++i) input[i] = irng.NextGaussian();
-
-  net.set_calib_phase(CalibPhase::kRange);
-  Tensor calib = input;
-  net.Forward(calib, /*train=*/false);
-  net.set_calib_phase(CalibPhase::kOff);
-  for (int i = 0; i < net.num_layers(); ++i) {
-    Layer& l = net.layer(i);
-    if (std::string_view(l.kind()) != "convolutional") continue;
-    if (l.plan().conv_algo != ConvAlgo::kQuantInt8 &&
-        l.plan().conv_algo != ConvAlgo::kQuantInt8Direct1x1) {
-      continue;
-    }
-    static_cast<ConvLayer&>(l).FinalizeCalibration(100.0);
-  }
   // Picks up the quantize-once chains (u8 edges, int8 1x1, fused mish
   // requantize) so the thread x kernel matrix exercises the chained
   // forward, not just per-layer quantization.
-  THALI_CHECK_OK(net.ReplanInference());
+  CalibrateInt8Ranges(net, 100.0, [&] {
+    Tensor calib = input;
+    net.Forward(calib, /*train=*/false);
+  });
 
   internal::SetInt8GemmKernelForTesting(kernel);
   Tensor first = input;
@@ -401,8 +385,8 @@ TEST_F(ParallelTest, Int8InferenceBitwiseIdenticalAcrossThreadsAndKernels) {
 }
 
 TEST_F(ParallelTest, Int8UnderNoFuseIsBitwiseFp32) {
-  // THALI_NO_FUSE disables the whole fused plan, so THALI_INT8 must
-  // become a no-op: identical bits to an int8-off no-fuse run.
+  // The reference (unfused) plan has no int8 path, so THALI_INT8 must
+  // become a no-op: identical bits to an int8-off reference-plan run.
   const std::vector<float> fp32 = ThaliInt8Forward(4, "avx2", false, 0);
   const std::vector<float> int8 = ThaliInt8Forward(4, "avx2", false, 1);
   ASSERT_EQ(int8.size(), fp32.size());

@@ -373,29 +373,13 @@ TEST_F(PrepostTest, FusedQuantizedInputDetectMatchesFp32QuantizeRoute) {
   auto det = Detector::FromCfg(YoloThaliCfg(YoloThaliOptions{}));
   THALI_CHECK_OK(det.status());
   Network& net = det->network();
-  for (int i = 0; i < net.num_layers(); ++i) {
-    if (std::string_view(net.layer(i).kind()) == "convolutional") {
-      static_cast<ConvLayer&>(net.layer(i)).FoldBatchNorm();
-    }
-  }
   // One min/max calibration pass over a representative letterboxed
   // image, then replan so the input chain arms.
   Tensor calib(net.input_shape());
   Rng crng(23);
   for (int64_t i = 0; i < calib.size(); ++i) calib[i] = crng.NextFloat();
-  net.set_calib_phase(CalibPhase::kRange);
-  net.Forward(calib, /*train=*/false);
-  net.set_calib_phase(CalibPhase::kOff);
-  for (int i = 0; i < net.num_layers(); ++i) {
-    Layer& l = net.layer(i);
-    if (std::string_view(l.kind()) != "convolutional") continue;
-    if (l.plan().conv_algo != ConvAlgo::kQuantInt8 &&
-        l.plan().conv_algo != ConvAlgo::kQuantInt8Direct1x1) {
-      continue;
-    }
-    static_cast<ConvLayer&>(l).FinalizeCalibration(100.0);
-  }
-  THALI_CHECK_OK(net.ReplanInference());
+  CalibrateInt8Ranges(net, 100.0,
+                      [&] { net.Forward(calib, /*train=*/false); });
   ASSERT_TRUE(net.exec_plan().input_u8);
 
   const Image img = RandomImage(5, 130, 100);

@@ -568,6 +568,56 @@ TEST(ServerTest, ExpiredDeadlineCompletesWithoutRunningNetwork) {
   EXPECT_EQ(m.batches.load(), 0);  // the network never ran
 }
 
+// The completion hook an event loop wakes on: it runs once per accepted
+// request, for detections and deadline expiries alike, and only once the
+// request's future is ready. A rejected Submit never runs it.
+TEST(ServerTest, CompletionHookRunsOnceAfterFutureIsReady) {
+  Server::Options opts;
+  opts.num_workers = 1;
+  auto server_or = Server::Create(opts, StandardFactory());
+  ASSERT_TRUE(server_or.ok());
+  std::unique_ptr<Server> server = std::move(server_or).value();
+
+  struct Slot {
+    std::promise<void> published;  // set once `result` is stored
+    std::shared_future<Server::Result> result;
+    std::atomic<int> calls{0};
+    std::atomic<bool> ready_at_hook{false};
+  };
+  Slot live, expired;
+  auto submit = [&](Slot* slot, ServeClock::time_point deadline) {
+    std::shared_future<void> published = slot->published.get_future().share();
+    auto fut = server->Submit(
+        RenderImages(1)[0], Server::SubmitOptions{deadline,
+                                                  Priority::kInteractive},
+        [slot, published] {
+          published.wait();
+          slot->ready_at_hook.store(slot->result.wait_for(milliseconds(0)) ==
+                                    std::future_status::ready);
+          slot->calls.fetch_add(1);
+        });
+    ASSERT_TRUE(fut.ok()) << fut.status().ToString();
+    slot->result = std::move(fut).value().share();
+    slot->published.set_value();
+  };
+  submit(&live, ServeClock::time_point::max());
+  submit(&expired, ServeClock::now() - milliseconds(1));
+  EXPECT_TRUE(live.result.get().ok());
+  EXPECT_EQ(expired.result.get().status().code(),
+            StatusCode::kDeadlineExceeded);
+  server->Shutdown();  // joins the worker, so every hook has returned
+  EXPECT_EQ(live.calls.load(), 1);
+  EXPECT_TRUE(live.ready_at_hook.load());
+  EXPECT_EQ(expired.calls.load(), 1);
+  EXPECT_TRUE(expired.ready_at_hook.load());
+
+  std::atomic<int> rejected_calls{0};
+  auto rejected = server->Submit(RenderImages(1)[0], Server::SubmitOptions{},
+                                 [&] { rejected_calls.fetch_add(1); });
+  EXPECT_EQ(rejected.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(rejected_calls.load(), 0);
+}
+
 TEST(ServerTest, ShutdownDrainsEveryAcceptedFuture) {
   Server::Options opts;
   opts.num_workers = 2;
